@@ -34,8 +34,8 @@ from .controller import (
     Decision,
     enumerate_candidates,
     plan_from_candidate,
-    predict_cycle_std,
-    predict_cycle_std_plant,
+    predict_stds,
+    predict_stds_plant,
     rank_cells,
     select_plan,
     should_balance,

@@ -296,11 +296,11 @@ def effective_config(raw: dict) -> dict:
         cells_raw = [{"soc": s} for s in DEFAULT_SOCS]
     if not isinstance(cells_raw, list):
         raise ConfigError("section 'cells' must be a list")
-    cells = []
-    for i, entry in enumerate(cells_raw):
-        cells.append(
-            _merge_section(f"cells[{i}]", _CELL_FIELDS, _default_cell_entry(), entry)
-        )
+    cell_defaults = _default_cell_entry()
+    cells = [
+        _merge_section(f"cells[{i}]", _CELL_FIELDS, cell_defaults, entry)
+        for i, entry in enumerate(cells_raw)
+    ]
 
     conv_defaults = {
         "magnetizing_inductance": 0.01,
@@ -496,8 +496,8 @@ def _resolve_out(given: str | None, command: str) -> Path:
 
 
 def _load_effective(args: argparse.Namespace) -> dict:
-    raw = load_config(args.config)
-    raw = apply_overrides(raw, args.set)
+    # overrides walk the resolved config, so cells.0.soc finds the default cells
+    raw = apply_overrides(effective_config(load_config(args.config)), args.set)
     return effective_config(raw)
 
 

@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 from typing import Optional, Sequence
+
+import numpy as np
 
 from . import rls
 from .ecm import CellParams, CellState, step_exact, terminal_voltage
-from .flyback import ConverterParams, SwitchPlan, cycle_charge_deltas
+from .flyback import SCHEDULES, ConverterParams, SwitchPlan, charge_table
 
 
 @dataclass(frozen=True)
@@ -38,7 +39,7 @@ class Candidate:
 def enumerate_candidates() -> list[Candidate]:
     """All 16 schedules in lexicographic (c11, c21, c12, c22) order, off
     before on; the first entry is the all-off schedule."""
-    return [Candidate(*flags) for flags in product((False, True), repeat=4)]
+    return [Candidate(*flags) for flags in SCHEDULES]
 
 
 CANDIDATES: tuple[Candidate, ...] = tuple(enumerate_candidates())
@@ -94,39 +95,28 @@ def std(values: Sequence[float]) -> float:
 
 def plan_from_candidate(candidate: Candidate, ranking: Sequence[int]) -> SwitchPlan:
     """Bind a schedule to concrete cells: ranks 0/1/2 of the current ranking."""
-    return SwitchPlan(
-        target_cell=ranking[0],
-        second_cell=ranking[1],
-        third_cell=ranking[2],
-        c11=candidate.c11,
-        c21=candidate.c21,
-        c12=candidate.c12,
-        c22=candidate.c22,
-    )
+    return SwitchPlan(*ranking[:3], candidate.c11, candidate.c21, candidate.c12, candidate.c22)
 
 
-def _cycle_average_currents(
-    candidate: Candidate,
+def _cycle_currents(
     ranking: Sequence[int],
     conv: ConverterParams,
     voltages: Sequence[float],
     external_current: float,
-) -> tuple[tuple[float, ...], float]:
-    """Per-cell average current over the candidate's cycle, and its duration.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-cell average currents (16, n) over every candidate's cycle, and
+    the cycle lengths (16,), in candidate order.
 
     The converter moves charge_delta[j] coulombs into cell j over the cycle;
     spread over the duration and added to the external (charger) current that
     flows regardless.  A zero-length cycle leaves the external current alone.
     """
-    plan = plan_from_candidate(candidate, ranking)
-    deltas, duration = cycle_charge_deltas(conv, voltages, plan)
-    if duration == 0.0:
-        return tuple(external_current for _ in deltas), 0.0
-    return tuple(external_current - d / duration for d in deltas), duration
+    deltas, duration = charge_table(conv, voltages, ranking[:3])
+    spread = np.where(duration > 0.0, duration, np.inf)
+    return external_current - deltas / spread[:, None], duration
 
 
-def predict_cycle_std(
-    candidate: Candidate,
+def predict_stds(
     ranking: Sequence[int],
     estimators: Sequence[rls.RlsEstimator],
     charge_accumulators: Sequence[float],
@@ -134,46 +124,44 @@ def predict_cycle_std(
     external_current: float,
     conv: ConverterParams,
     voltages: Sequence[float],
-) -> float:
-    """Predicted end-of-cycle voltage spread using the identified models.
+) -> np.ndarray:
+    """Predicted end-of-cycle voltage spread of every candidate, using the
+    identified models.
 
-    Each cell's regressor takes its cycle-average current and its charge
-    accumulator advanced by that current over the cycle.
+    Each cell's regressor [i, q/C, 1] takes its cycle-average current and
+    its charge accumulator advanced by that current over the cycle.
     """
-    currents, duration = _cycle_average_currents(
-        candidate, ranking, conv, voltages, external_current
-    )
-    predicted = []
-    for j, est in enumerate(estimators):
-        q_next = charge_accumulators[j] + currents[j] * duration
-        x = rls.build_regressor(currents[j], q_next, capacities[j])
-        predicted.append(rls.predict(est, x))
-    return std(predicted)
+    capacities = np.asarray(capacities, dtype=float)
+    if not np.all(capacities > 0.0):
+        raise ValueError(f"capacities must be positive, got {capacities.tolist()!r}")
+    currents, duration = _cycle_currents(ranking, conv, voltages, external_current)
+    q_next = np.asarray(charge_accumulators, dtype=float) + currents * duration[:, None]
+    theta = np.array([est.theta for est in estimators])
+    predicted = currents * theta[:, 0] + q_next / capacities * theta[:, 1] + theta[:, 2]
+    return predicted.std(axis=1)
 
 
-def predict_cycle_std_plant(
-    candidate: Candidate,
+def predict_stds_plant(
     ranking: Sequence[int],
     plant: Sequence[tuple[CellParams, CellState]],
     external_current: float,
     conv: ConverterParams,
     voltages: Sequence[float],
-) -> float:
-    """Predicted end-of-cycle voltage spread using the true cell models.
+) -> np.ndarray:
+    """Predicted end-of-cycle voltage spread of every candidate, using the
+    true cell models.
 
     Steps every true state by its cycle-average current, then reads the
     terminal voltage at the external current alone: all converter currents
     are exactly zero at the end of a cycle.
     """
-    currents, duration = _cycle_average_currents(
-        candidate, ranking, conv, voltages, external_current
-    )
-    predicted = []
+    currents, duration = _cycle_currents(ranking, conv, voltages, external_current)
+    predicted = np.empty(currents.shape)
     for j, (params, state) in enumerate(plant):
-        if duration > 0.0:
-            state, _ = step_exact(params, state, currents[j], duration)
-        predicted.append(terminal_voltage(params, state, external_current))
-    return std(predicted)
+        for k, (current, dt) in enumerate(zip(currents[:, j].tolist(), duration.tolist())):
+            end = step_exact(params, state, current, dt)[0] if dt > 0.0 else state
+            predicted[k, j] = terminal_voltage(params, end, external_current)
+    return predicted.std(axis=1)
 
 
 def select_plan(
@@ -200,25 +188,19 @@ def select_plan(
     if cfg.prediction_source == "plant":
         if plant is None:
             raise ValueError("prediction_source 'plant' requires the plant models")
-        stds = tuple(
-            predict_cycle_std_plant(c, ranking, plant, i_ext, conv, voltages)
-            for c in CANDIDATES
-        )
+        stds = predict_stds_plant(ranking, plant, i_ext, conv, voltages)
     else:
         if estimators is None or charge_accumulators is None or capacities is None:
             raise ValueError(
                 "prediction_source 'rls' requires estimators, accumulators and capacities"
             )
-        stds = tuple(
-            predict_cycle_std(
-                c, ranking, estimators, charge_accumulators, capacities,
-                i_ext, conv, voltages,
-            )
-            for c in CANDIDATES
+        stds = predict_stds(
+            ranking, estimators, charge_accumulators, capacities, i_ext, conv, voltages
         )
 
-    best = 0
-    for k in range(1, len(stds)):
-        if stds[k] < stds[best]:
-            best = k
-    return Decision(True, plan_from_candidate(CANDIDATES[best], ranking), stds, ranking)
+    # A strict `<` scan from the all-off schedule: a NaN never wins, and a
+    # NaN first score keeps the all-off schedule.
+    best = 0 if math.isnan(stds[0]) else int(np.nanargmin(stds))
+    return Decision(
+        True, plan_from_candidate(CANDIDATES[best], ranking), tuple(stds.tolist()), ranking
+    )

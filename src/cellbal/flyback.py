@@ -32,7 +32,19 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import product
 from typing import Sequence
+
+import numpy as np
+
+# The 16 auxiliary schedules as (c11, c21, c12, c22), off before on.  Each
+# switched cell of a schedule (target, second, third) conducts for a number
+# of half on-times and switches off after one (stage I only) or two.
+SCHEDULES: tuple[tuple[bool, ...], ...] = tuple(product((False, True), repeat=4))
+_WINDOWS = np.array([(2, c11 + c12, c21 + c22) for c11, c21, c12, c22 in SCHEDULES], dtype=float)
+_OFF_AT = np.array(
+    [(2, 2 - (c11 > c12), 2 - (c21 > c22)) for c11, c21, c12, c22 in SCHEDULES], dtype=float
+)
 
 
 @dataclass(frozen=True)
@@ -384,57 +396,50 @@ def simulate_cycle(
     )
 
 
-def cycle_charge_deltas(
-    conv: ConverterParams, cell_voltages: Sequence[float], plan: SwitchPlan
-) -> tuple[tuple[float, ...], float]:
-    """Per-cell charge deltas and cycle duration, skipping waveform assembly.
+def charge_table(
+    conv: ConverterParams, cell_voltages: Sequence[float], cells: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Charge deltas and lengths of the cycles of all 16 schedules at once.
 
-    Same closed forms as :func:`simulate_cycle`; used on hot prediction paths
-    where only the coulomb bookkeeping matters.
+    ``cells`` are the target, second and third cell.  Row k of the (16, n)
+    delta table and of the (16,) length vector belong to ``SCHEDULES[k]``;
+    they are :func:`simulate_cycle`'s coulomb bookkeeping for that plan,
+    without the waveforms.  A winding that conducts for ``ramp`` seconds
+    peaks at v/L*ramp, sources half that times ``ramp`` from its own cell,
+    and sheds its peak into the stack at ``fw_slope`` once switched off.
     """
     n = conv.n_cells
     if len(cell_voltages) != n:
         raise ValueError(f"expected {n} cell voltages, got {len(cell_voltages)}")
-    for idx in (plan.target_cell, plan.second_cell, plan.third_cell):
-        if idx >= n:
-            raise ValueError(f"plan cell {idx} out of range for {n} cells")
-    t_on = compute_t_on(conv, cell_voltages[plan.target_cell])
-    if t_on == 0.0:
-        return (0.0,) * n, 0.0
-    v_stack = 0.0
     for v in cell_voltages:
         if not v > 0.0:
             raise ValueError(f"cell voltages must all be positive, got {v!r}")
-        v_stack += v
+    for idx in cells:
+        if idx >= n:
+            raise ValueError(f"plan cell {idx} out of range for {n} cells")
+    t_on = compute_t_on(conv, cell_voltages[cells[0]])
+    if t_on == 0.0:
+        return np.zeros((len(SCHEDULES), n)), np.zeros(len(SCHEDULES))
 
     l_m = conv.magnetizing_inductance
     ratio = conv.turns_primary / conv.turns_secondary
-    fw_slope = ratio * v_stack / l_m
+    fw_slope = ratio * sum(cell_voltages) / l_m
     half = 0.5 * t_on
+    ramp = half * _WINDOWS
+    peak = np.array([cell_voltages[c] for c in cells]) / l_m * ramp
+    freewheel = 0.5 * peak * peak / fw_slope
+    secondary = ratio * (freewheel[:, 0] + freewheel[:, 1] + freewheel[:, 2])
+    deltas = np.repeat(secondary[:, None], n, axis=1)
+    deltas[:, list(cells)] -= 0.5 * peak * ramp
+    return deltas, (half * _OFF_AT + peak / fw_slope).max(axis=1)
 
-    conducted = [0.0] * n
-    freewheel_charge = 0.0
-    t3 = t_on
-    for cell, on1, on2 in (
-        (plan.target_cell, True, True),
-        (plan.second_cell, plan.c11, plan.c12),
-        (plan.third_cell, plan.c21, plan.c22),
-    ):
-        v_over_l = cell_voltages[cell] / l_m
-        if on1 and on2:
-            peak = v_over_l * t_on
-            conducted[cell] += 0.5 * peak * t_on
-            freewheel_charge += 0.5 * peak * peak / fw_slope
-            t3 = max(t3, t_on + peak / fw_slope)
-        elif on1:
-            i1 = v_over_l * half
-            conducted[cell] += 0.5 * i1 * half
-            freewheel_charge += 0.5 * i1 * i1 / fw_slope
-            t3 = max(t3, half + i1 / fw_slope)
-        elif on2:
-            i1 = v_over_l * half
-            conducted[cell] += 0.5 * i1 * half
-            freewheel_charge += 0.5 * i1 * i1 / fw_slope
-            t3 = max(t3, t_on + i1 / fw_slope)
-    secondary_charge = ratio * freewheel_charge
-    return tuple(secondary_charge - conducted[j] for j in range(n)), t3
+
+def cycle_charge_deltas(
+    conv: ConverterParams, cell_voltages: Sequence[float], plan: SwitchPlan
+) -> tuple[tuple[float, ...], float]:
+    """One plan's row of :func:`charge_table`: per-cell charge deltas and
+    cycle duration."""
+    cells = (plan.target_cell, plan.second_cell, plan.third_cell)
+    deltas, t3 = charge_table(conv, cell_voltages, cells)
+    k = SCHEDULES.index((plan.c11, plan.c21, plan.c12, plan.c22))
+    return tuple(deltas[k].tolist()), float(t3[k])

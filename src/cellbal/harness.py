@@ -153,6 +153,12 @@ class ScenarioConfig:
             raise ValueError("forgetting_factor must lie in (0, 1]")
         if not self.initial_covariance > 0.0:
             raise ValueError("initial_covariance must be positive")
+        # nominal cycle: on-time at the lowest allowed voltage plus the freewheel tail
+        c, v_floor = self.converter, min(p.v_min for p, _ in self.cells)
+        tail = 1.0 + c.turns_secondary / (c.turns_primary * len(self.cells))
+        cycle = c.magnetizing_inductance * c.peak_current * tail / v_floor if v_floor > 0 else 0
+        if not math.isfinite(cycle) or 0.0 < self.max_time < cycle:
+            raise ValueError(f"converter cycle {cycle:.3g} s exceeds max_time {self.max_time} s")
 
 
 @dataclass(frozen=True)
@@ -319,6 +325,12 @@ class Simulation:
     def _decide(self, v_meas: Sequence[float], i_ext: float) -> Decision:
         cfg = self.cfg
         if cfg.policy == "none":
+            return Decision(False, None, (), rank_cells(v_meas))
+        faulty = [j for j, v in enumerate(v_meas) if not v > 0.0]
+        if faulty:  # a sensor fault, not a cell state: nothing is scored or run on it
+            self.events += [
+                (self.time, "measurement_fault", f"cell {j} read {v_meas[j]:.4f} V") for j in faulty
+            ]
             return Decision(False, None, (), rank_cells(v_meas))
         if cfg.policy == "greedy":
             if not should_balance(v_meas, cfg.controller):

@@ -9,7 +9,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from cellbal import CANDIDATES, CellParams, CellState, ConverterParams, SwitchPlan
+from cellbal import (
+    CANDIDATES,
+    CellParams,
+    CellState,
+    ConverterParams,
+    SwitchPlan,
+    plan_from_candidate,
+    rls,
+    simulate_cycle,
+    std,
+)
 
 # np.trapezoid is new in numpy 2.0, which deprecates np.trapz; pyproject.toml
 # allows numpy 1.24, so fall back to trapz there.
@@ -209,3 +219,40 @@ def fine_cycle_stds(
         rest = a0 + s * (a1 + s * (a2 + s * a3)) + a4 * np.exp(-p.ocv_exponent * s)
         term[:, j] = rest - v1_end[:, j] - v2_end[:, j] - r0[j] * i_ext
     return term.std(axis=1)
+
+
+def reference_stds(
+    conv: ConverterParams,
+    voltages,
+    estimators,
+    accumulators,
+    capacities,
+    external_current: float,
+    ranking,
+) -> list[float]:
+    """Predicted end-of-cycle spread of each candidate, one candidate at a
+    time: the full waveform cycle, then one ``rls.predict`` per cell."""
+    out = []
+    for candidate in CANDIDATES:
+        res = simulate_cycle(conv, voltages, plan_from_candidate(candidate, ranking))
+        duration = res.timing.t3
+        predicted = []
+        for j, est in enumerate(estimators):
+            current = external_current
+            if duration > 0.0:
+                current = external_current - res.charge_delta[j] / duration
+            q_next = accumulators[j] + current * duration
+            x = rls.build_regressor(current, q_next, capacities[j])
+            predicted.append(rls.predict(est, x))
+        out.append(std(predicted))
+    return out
+
+
+def reference_pick(stds, rel: float = 0.0) -> int:
+    """Index a strict ``<`` scan from the first candidate settles on; with
+    ``rel`` > 0 a later score must beat the best so far by that fraction."""
+    best = 0
+    for k in range(1, len(stds)):
+        if stds[k] < stds[best] * (1.0 - rel):
+            best = k
+    return best

@@ -253,6 +253,38 @@ class TestSimulateCommand:
         r = cli("simulate", "--set", "run.max_time=-5", "--out", str(tmp_path / "o"), cwd=tmp_path)
         assert r.returncode == 2
 
+    def test_readme_quick_start_override_runs(self, tmp_path):
+        # the README line as written: no --config, so cells.0 must index
+        # into the built-in cell list
+        r = cli(
+            "simulate", "--set", "run.noise_std=0.005", "--set", "cells.0.soc=0.7", cwd=tmp_path
+        )
+        assert r.returncode == 0, r.stderr
+        (run,) = (tmp_path / "runs").iterdir()
+        assert read_trace(run / "trace.csv").soc[0][0] == 0.7
+
+    def test_out_of_range_cell_override_exits_2(self, tmp_path):
+        r = cli("simulate", "--set", "cells.4.soc=0.7", cwd=tmp_path)
+        assert r.returncode == 2
+        assert "bad list index '4'" in r.stderr
+
+    def test_negative_measured_voltage_runs_through(self, tmp_path):
+        r = cli(
+            "simulate", "--config", str(STOCK_CONFIG), "--set", "run.noise_std=5.0",
+            "--out", str(tmp_path / "run"), cwd=tmp_path,
+        )
+        assert r.returncode == 0, r.stderr
+        table = read_trace(tmp_path / "run" / "trace.csv")
+        assert min(min(v) for v in table.voltage) <= 0.0
+
+    def test_huge_inductance_exits_2(self, tmp_path):
+        r = cli(
+            "simulate", "--set", "converter.magnetizing_inductance=1e300",
+            "--out", str(tmp_path / "run"), cwd=tmp_path,
+        )
+        assert r.returncode == 2
+        assert "exceeds max_time" in r.stderr
+
     def test_zero_length_run_writes_header_only(self, tmp_path):
         r = cli(
             "simulate", "--set", "run.max_time=0", "--out", str(tmp_path / "run"),

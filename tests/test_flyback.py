@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from cellbal import (
+    CANDIDATES,
     ConverterParams,
     CycleTiming,
     PiecewiseLinear,
@@ -21,9 +22,12 @@ from cellbal import (
     secondary_current,
     simulate_cycle,
 )
+from cellbal.flyback import charge_table
 from oracles import fine_cycle_deltas, integrate_pwl_between
 
 SMALL = ConverterParams(magnetizing_inductance=1e-4, peak_current=2.0)
+# (c11, c21, c12, c22) of each candidate, in candidate order
+CANDIDATE_FLAGS = [(c.c11, c.c21, c.c12, c.c22) for c in CANDIDATES]
 
 
 def random_cycles(count: int, seed: int):
@@ -300,6 +304,41 @@ class TestCycleInvariants:
             assert t3 == res.timing.t3
             for a, b in zip(deltas, res.charge_delta):
                 assert a == pytest.approx(b, rel=1e-12)
+
+    def test_charge_table_rows_match_full_cycles(self):
+        # row k of the table is schedule k's cycle; random voltages, cell
+        # rankings and converters.  The wide voltage range puts helpers far
+        # above the target, so their switch-off instants also set t3.
+        # Tolerance is relative to the row's largest delta, since a cell's
+        # net delta can nearly cancel.
+        rng = np.random.default_rng(20261018)
+        for trial in range(120):
+            n = int(rng.integers(4, 7))
+            conv = ConverterParams(
+                magnetizing_inductance=float(10 ** rng.uniform(-5, -1)),
+                turns_secondary=int(rng.integers(1, 6)),
+                peak_current=float(rng.uniform(0.5, 6.0)),
+                n_cells=n,
+            )
+            voltages = tuple(rng.uniform(0.5, 4.2, size=n))
+            cells = tuple(int(c) for c in rng.permutation(n)[:3])
+            deltas, t3 = charge_table(conv, voltages, cells)
+            assert deltas.shape == (16, n) and t3.shape == (16,)
+            for k, flags in enumerate(CANDIDATE_FLAGS):
+                res = simulate_cycle(conv, voltages, SwitchPlan(*cells, *flags))
+                assert t3[k] == res.timing.t3, (trial, k)
+                ref = np.array(res.charge_delta)
+                scale = np.max(np.abs(ref))
+                assert np.max(np.abs(deltas[k] - ref)) <= 1e-12 * scale, (trial, k)
+
+    def test_charge_table_degenerate_and_invalid(self):
+        conv = ConverterParams(magnetizing_inductance=1e-4, peak_current=0.0)
+        deltas, t3 = charge_table(conv, (4.0, 3.9, 3.8, 3.7), (0, 1, 2))
+        assert not deltas.any() and not t3.any()
+        with pytest.raises(ValueError, match="positive"):
+            charge_table(SMALL, (4.0, -3.9, 3.8, 3.7), (0, 1, 2))
+        with pytest.raises(ValueError, match="out of range"):
+            charge_table(SMALL, (4.0, 3.9, 3.8, 3.7), (0, 1, 4))
 
     def test_conduction_only_where_switched(self):
         for voltages, plan in self.CYCLES:

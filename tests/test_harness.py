@@ -155,6 +155,23 @@ class TestScenarioConfig:
         with pytest.raises(ValueError):
             make_stock_scenario(**overrides)
 
+    @pytest.mark.parametrize("inductance", [1e300, 1e308, 1e4])
+    def test_converter_cycle_must_fit_the_run(self, inductance):
+        conv = ConverterParams(magnetizing_inductance=inductance)
+        with pytest.raises(ValueError, match="exceeds max_time"):
+            make_stock_scenario(converter=conv)
+        # a run that never steps never runs a cycle, whatever its length
+        if inductance < 1e308:
+            make_stock_scenario(converter=conv, max_time=0.0)
+
+    def test_nominal_cycle_bound(self):
+        # stock cells (v_min 3 V), 1:4 turns: L * 5 A / 3 V * (1 + 4/4) = 400 s
+        # at L = 120 H, which fits a 400 s run and not a 399 s one
+        conv = ConverterParams(magnetizing_inductance=120.0)
+        make_stock_scenario(converter=conv, max_time=400.0)
+        with pytest.raises(ValueError, match="exceeds max_time"):
+            make_stock_scenario(converter=conv, max_time=399.0)
+
 
 class TestTraceRecord:
     def test_bits_must_be_binary_or_inactive(self):
@@ -251,6 +268,16 @@ class TestRunScenario:
         assert sim.trace == []
         assert sim.events and sim.events[0][1] == "charger_guard"
         assert sim.time == 0.0
+
+    def test_negative_measurement_is_a_fault_not_a_decision(self):
+        # 5 V of noise on ~3.7 V cells reads negative within a few steps
+        sim = Simulation(make_stock_scenario(noise_std=5.0, seed=3, max_time=60.0))
+        while not any(ev[1] == "measurement_fault" for ev in sim.events):
+            rec = sim.step()
+            assert rec is not None, "no non-positive reading in the run"
+        assert rec.candidate_bits == INACTIVE_BITS
+        assert min(rec.voltage) <= 0.0
+        sim.run()
 
     def test_record_every_decimates(self):
         full, _ = run_scenario(make_stock_scenario(max_time=20.0))
