@@ -3,7 +3,6 @@ identification, a multi-winding flyback transfer stage and an adaptive
 predictive controller, plus a scenario harness and CLI around them."""
 
 from .ecm import (
-    CellMeasurement,
     CellParams,
     CellState,
     ocv,
@@ -19,12 +18,8 @@ from .flyback import (
     CycleTiming,
     PiecewiseLinear,
     SwitchPlan,
-    balancing_currents,
     compute_t_on,
     cycle_charge_deltas,
-    decay_current,
-    on_ramp_current,
-    secondary_current,
     simulate_cycle,
 )
 from .controller import (

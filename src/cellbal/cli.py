@@ -2,9 +2,12 @@
 CSV export for plotting.
 
 The config file is JSON with ``//`` line comments allowed, split into the
-sections ``cells`` (a list), ``converter``, ``charger``, ``controller`` and
-``run``.  Any omitted key falls back to the package default; an empty file
-(or no ``--config`` at all) therefore runs the stock four-cell scenario.
+sections ``cells`` (a list of CellState + CellParams entries),
+``converter`` (ConverterParams without n_cells), ``charger``
+(ChargerConfig), ``controller`` (ControllerConfig) and ``run`` (the scalar
+fields of ScenarioConfig plus the sweep's ``policies``).  Any omitted key
+falls back to the dataclass default; an empty file (or no ``--config`` at
+all) therefore runs the stock four-cell scenario.
 ``--set section.key=value`` overrides individual entries after the file is
 read; a key without a dot is taken from the ``run`` section.
 
@@ -20,6 +23,7 @@ import csv
 import dataclasses
 import json
 import sys
+import typing
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Sequence
@@ -49,68 +53,56 @@ class TraceFormatError(Exception):
 
 
 # -- config handling ---------------------------------------------------------
+#
+# The dataclasses are the config schema.  Each section's keys, their order,
+# their types and their defaults come from the fields of the dataclass behind
+# it, and the domain checks stay in the dataclasses' __post_init__.
 
 DEFAULT_SOCS = (0.60, 0.50, 0.45, 0.40)
+DEFAULT_SOC = 0.5                      # a cell entry that names no soc
+DEFAULT_POLICIES = ["ampc", "greedy"]  # run.policies, the sweep-only key
 
-_RUN_KEYS = (
-    "policy",
-    "forgetting_factor",
-    "initial_covariance",
-    "warm_start",
-    "noise_std",
-    "seed",
-    "max_time",
-    "record_every",
-    "idle_dt",
-)
 
-# field -> coercion kind, per section
-_CELL_FIELDS = {
-    "soc": "float",
-    "v1": "float",
-    "v2": "float",
-    "capacity_coulombs": "float",
-    "series_resistance": "float",
-    "rc1_resistance": "float",
-    "rc1_capacitance": "float",
-    "rc2_resistance": "float",
-    "rc2_capacitance": "float",
-    "ocv_coeffs": "floatlist5",
-    "ocv_exponent": "float",
-    "v_min": "float",
-    "v_max": "float",
-    "self_discharge_resistance": "float_or_null",
+def _fields(cls: type, skip: tuple[str, ...] = ()) -> dict[str, Any]:
+    """Field name -> resolved annotation, in field order."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in dataclasses.fields(cls) if f.name not in skip}
+
+
+def _run_fields() -> dict[str, Any]:
+    # the scalar fields of ScenarioConfig, with policies right after policy
+    out: dict[str, Any] = {}
+    for name, hint in _fields(ScenarioConfig).items():
+        if hint in (float, int, bool, str):
+            out[name] = hint
+            if name == "policy":
+                out["policies"] = list[str]
+    return out
+
+
+_STATE_KEYS = tuple(_fields(CellState))
+# section -> {key: annotation}; the cells schema applies to each list entry
+_SCHEMA: dict[str, dict[str, Any]] = {
+    "cells": {**_fields(CellState), **_fields(CellParams)},
+    "converter": _fields(ConverterParams, skip=("n_cells",)),
+    "charger": _fields(ChargerConfig),
+    "controller": _fields(ControllerConfig),
+    "run": _run_fields(),
 }
-_CONVERTER_FIELDS = {
-    "magnetizing_inductance": "float",
-    "turns_primary": "int",
-    "turns_secondary": "int",
-    "peak_current": "float",
-}
-_CHARGER_FIELDS = {
-    "mode": "str",
-    "cc_current": "float",
-    "cv_voltage": "float",
-    "cutoff_current": "float",
-    "cell_voltage_limit": "float",
-}
-_CONTROLLER_FIELDS = {
-    "gap_threshold": "float",
-    "prediction_source": "str",
-    "include_charger": "bool",
-}
-_RUN_FIELDS = {
-    "policy": "str",
-    "policies": "strlist",
-    "forgetting_factor": "float",
-    "initial_covariance": "float",
-    "warm_start": "bool",
-    "noise_std": "float",
-    "seed": "int",
-    "max_time": "float",
-    "record_every": "int",
-    "idle_dt": "float",
-}
+
+
+def _defaults() -> dict[str, dict]:
+    run = {f.name: f.default for f in dataclasses.fields(ScenarioConfig)}
+    return {
+        "cells": {
+            **dataclasses.asdict(CellState(soc=DEFAULT_SOC)),
+            **dataclasses.asdict(representative_cell_params()),
+        },
+        "converter": dataclasses.asdict(ConverterParams()),
+        "charger": dataclasses.asdict(ChargerConfig()),
+        "controller": dataclasses.asdict(ControllerConfig()),
+        "run": {**run, "policies": DEFAULT_POLICIES},
+    }
 
 
 def strip_json_comments(text: str) -> str:
@@ -204,36 +196,37 @@ def apply_overrides(raw: dict, assignments: Sequence[str]) -> dict:
     return cfg
 
 
-def _coerce(kind: str, value: Any, where: str) -> Any:
-    if kind == "float":
+def _coerce(hint: Any, value: Any, where: str) -> Any:
+    """Check a parsed JSON value against a field annotation; numbers become
+    floats and fixed-length tuples become lists, so the result is JSON."""
+    if hint is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{where} must be a number, got {value!r}")
         return float(value)
-    if kind == "int":
+    if hint is int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"{where} must be an integer, got {value!r}")
         return int(value)
-    if kind == "bool":
+    if hint is bool:
         if not isinstance(value, bool):
             raise ConfigError(f"{where} must be true or false, got {value!r}")
         return value
-    if kind == "str":
+    if hint is str:
         if not isinstance(value, str):
             raise ConfigError(f"{where} must be a string, got {value!r}")
         return value
-    if kind == "float_or_null":
-        if value is None:
-            return None
-        return _coerce("float", value, where)
-    if kind == "floatlist5":
-        if not isinstance(value, list) or len(value) != 5:
-            raise ConfigError(f"{where} must be a list of 5 numbers")
-        return [_coerce("float", v, where) for v in value]
-    if kind == "strlist":
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is typing.Union and args == (float, type(None)):
+        return None if value is None else _coerce(float, value, where)
+    if origin is tuple and set(args) == {float}:
+        if not isinstance(value, (list, tuple)) or len(value) != len(args):
+            raise ConfigError(f"{where} must be a list of {len(args)} numbers")
+        return [_coerce(float, v, where) for v in value]
+    if hint == list[str]:
         if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
             raise ConfigError(f"{where} must be a list of strings")
         return list(value)
-    raise AssertionError(kind)
+    raise AssertionError(f"no config coercion for {where}: {hint!r}")
 
 
 def _merge_section(name: str, schema: dict, defaults: dict, given: Any) -> dict:
@@ -244,41 +237,10 @@ def _merge_section(name: str, schema: dict, defaults: dict, given: Any) -> dict:
     for key in given:
         if key not in schema:
             raise ConfigError(f"unknown key {name}.{key}")
-    out = {}
-    for key, kind in schema.items():
-        value = given.get(key, defaults[key])
-        out[key] = _coerce(kind, value, f"{name}.{key}")
-    return out
-
-
-def _default_cell_entry() -> dict:
-    p = representative_cell_params()
     return {
-        "soc": 0.5,
-        "v1": 0.0,
-        "v2": 0.0,
-        "capacity_coulombs": p.capacity_coulombs,
-        "series_resistance": p.series_resistance,
-        "rc1_resistance": p.rc1_resistance,
-        "rc1_capacitance": p.rc1_capacitance,
-        "rc2_resistance": p.rc2_resistance,
-        "rc2_capacitance": p.rc2_capacitance,
-        "ocv_coeffs": list(p.ocv_coeffs),
-        "ocv_exponent": p.ocv_exponent,
-        "v_min": p.v_min,
-        "v_max": p.v_max,
-        "self_discharge_resistance": p.self_discharge_resistance,
+        key: _coerce(hint, given.get(key, defaults[key]), f"{name}.{key}")
+        for key, hint in schema.items()
     }
-
-
-def _run_defaults() -> dict:
-    out = {
-        f.name: f.default
-        for f in dataclasses.fields(ScenarioConfig)
-        if f.name in _RUN_KEYS
-    }
-    out["policies"] = ["ampc", "greedy"]
-    return out
 
 
 def effective_config(raw: dict) -> dict:
@@ -286,9 +248,8 @@ def effective_config(raw: dict) -> dict:
     JSON to an identical structure."""
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
-    known = {"cells", "converter", "charger", "controller", "run"}
     for key in raw:
-        if key not in known:
+        if key not in _SCHEMA:
             raise ConfigError(f"unknown config section {key!r}")
 
     cells_raw = raw.get("cells")
@@ -296,39 +257,17 @@ def effective_config(raw: dict) -> dict:
         cells_raw = [{"soc": s} for s in DEFAULT_SOCS]
     if not isinstance(cells_raw, list):
         raise ConfigError("section 'cells' must be a list")
-    cell_defaults = _default_cell_entry()
-    cells = [
-        _merge_section(f"cells[{i}]", _CELL_FIELDS, cell_defaults, entry)
-        for i, entry in enumerate(cells_raw)
-    ]
-
-    conv_defaults = {
-        "magnetizing_inductance": 0.01,
-        "turns_primary": 1,
-        "turns_secondary": 4,
-        "peak_current": 5.0,
-    }
-    chg = ChargerConfig()
-    ctl = ControllerConfig()
-    return {
-        "cells": cells,
-        "converter": _merge_section(
-            "converter", _CONVERTER_FIELDS, conv_defaults, raw.get("converter")
-        ),
-        "charger": _merge_section(
-            "charger",
-            _CHARGER_FIELDS,
-            dataclasses.asdict(chg),
-            raw.get("charger"),
-        ),
-        "controller": _merge_section(
-            "controller",
-            _CONTROLLER_FIELDS,
-            dataclasses.asdict(ctl),
-            raw.get("controller"),
-        ),
-        "run": _merge_section("run", _RUN_FIELDS, _run_defaults(), raw.get("run")),
-    }
+    defaults = _defaults()
+    eff: dict[str, Any] = {}
+    for name, schema in _SCHEMA.items():
+        if name == "cells":
+            eff[name] = [
+                _merge_section(f"cells[{i}]", schema, defaults[name], entry)
+                for i, entry in enumerate(cells_raw)
+            ]
+        else:
+            eff[name] = _merge_section(name, schema, defaults[name], raw.get(name))
+    return eff
 
 
 def build_scenario(effective: dict, policy: str | None = None) -> ScenarioConfig:
@@ -340,29 +279,18 @@ def build_scenario(effective: dict, policy: str | None = None) -> ScenarioConfig
     try:
         cells = []
         for entry in effective["cells"]:
-            kwargs = {k: v for k, v in entry.items() if k not in ("soc", "v1", "v2")}
-            kwargs["ocv_coeffs"] = tuple(kwargs["ocv_coeffs"])
-            params = CellParams(**kwargs)
-            state = CellState(soc=entry["soc"], v1=entry["v1"], v2=entry["v2"])
+            params = CellParams(**{k: v for k, v in entry.items() if k not in _STATE_KEYS})
+            state = CellState(**{k: entry[k] for k in _STATE_KEYS})
             cells.append((params, state))
-        conv = ConverterParams(n_cells=len(cells), **effective["converter"])
-        charger = ChargerConfig(**effective["charger"])
-        controller = ControllerConfig(**effective["controller"])
-        run = effective["run"]
+        run = {k: v for k, v in effective["run"].items() if k != "policies"}
+        if policy is not None:
+            run["policy"] = policy
         return ScenarioConfig(
             cells=cells,
-            converter=conv,
-            charger=charger,
-            policy=policy if policy is not None else run["policy"],
-            controller=controller,
-            forgetting_factor=run["forgetting_factor"],
-            initial_covariance=run["initial_covariance"],
-            warm_start=run["warm_start"],
-            noise_std=run["noise_std"],
-            seed=run["seed"],
-            max_time=run["max_time"],
-            record_every=run["record_every"],
-            idle_dt=run["idle_dt"],
+            converter=ConverterParams(n_cells=len(cells), **effective["converter"]),
+            charger=ChargerConfig(**effective["charger"]),
+            controller=ControllerConfig(**effective["controller"]),
+            **run,
         )
     except (ValueError, TypeError) as e:
         raise ConfigError(str(e)) from None
@@ -530,11 +458,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError("sweep needs a non-empty run.policies list")
     if len(set(policies)) != len(policies):
         raise ConfigError(f"duplicate policy names in run.policies: {policies}")
+    # fail fast on a bad policy name or cell/converter config before any run
     for p in policies:
-        if p not in ("ampc", "greedy", "none"):
-            raise ConfigError(f"unknown policy {p!r} in run.policies")
-    # fail fast on bad cell/converter configs before spawning workers
-    build_scenario(eff, policy=policies[0])
+        build_scenario(eff, policy=p)
     out = _resolve_out(args.out, "sweep")
 
     jobs = max(1, args.jobs)

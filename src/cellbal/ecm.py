@@ -65,14 +65,16 @@ class CellParams:
             ("rc2_resistance", self.rc2_resistance),
             ("rc2_capacitance", self.rc2_capacitance),
         ]
+        if self.self_discharge_resistance is not None:
+            positives.append(("self_discharge_resistance", self.self_discharge_resistance))
         for name, value in positives:
             if not (value > 0.0) or not math.isfinite(value):
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
-        if self.self_discharge_resistance is not None:
-            if not (self.self_discharge_resistance > 0.0):
-                raise ValueError("self_discharge_resistance must be positive or None")
         if not (math.isfinite(self.ocv_exponent) and self.ocv_exponent > 0.0):
             raise ValueError("ocv_exponent must be positive and finite")
+        # the converter's nominal cycle divides by the lowest v_min
+        if not self.v_min > 0.0:
+            raise ValueError(f"v_min must be positive, got {self.v_min!r}")
         if not self.v_min < self.v_max:
             raise ValueError(f"require v_min < v_max, got {self.v_min} >= {self.v_max}")
         # The whole controller stack assumes a monotone SOC -> OCV map
@@ -103,19 +105,6 @@ class CellState:
             raise ValueError(f"soc must lie in [0, 1], got {self.soc!r}")
         if not (math.isfinite(self.v1) and math.isfinite(self.v2)):
             raise ValueError("RC branch voltages must be finite")
-
-
-@dataclass(frozen=True)
-class CellMeasurement:
-    """One terminal observation: voltage at the terminals and the current
-    flowing at that instant (positive = discharge)."""
-
-    terminal_voltage: float
-    current: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.terminal_voltage) and math.isfinite(self.current)):
-            raise ValueError("measurement fields must be finite")
 
 
 def ocv(params: CellParams, soc: float) -> float:

@@ -51,12 +51,13 @@ _OFF_AT = np.array(
 class ConverterParams:
     """Shared electrical parameters of the balancing stage.
 
-    ``magnetizing_inductance`` is per primary winding (henries); windings are
-    identical.  ``peak_current`` is the target-winding peak the on-time is
-    sized for (amperes); zero is allowed and yields a degenerate no-op cycle.
+    ``magnetizing_inductance`` is per primary winding (henries, 10 mH stock);
+    windings are identical.  ``peak_current`` is the target-winding peak the
+    on-time is sized for (amperes); zero is allowed and yields a degenerate
+    no-op cycle.
     """
 
-    magnetizing_inductance: float
+    magnetizing_inductance: float = 0.01
     turns_primary: int = 1
     turns_secondary: int = 4
     peak_current: float = 5.0
@@ -186,61 +187,6 @@ def compute_t_on(conv: ConverterParams, v_cell: float) -> float:
     if not v_cell > 0.0:
         raise ValueError(f"cell voltage must be positive, got {v_cell!r}")
     return conv.magnetizing_inductance * conv.peak_current / v_cell
-
-
-def on_ramp_current(v_cell: float, inductance: float, elapsed: float) -> float:
-    """Current of a conducting winding ``elapsed`` seconds into its ramp."""
-    if v_cell < 0.0:
-        raise ValueError("cell voltage must be >= 0")
-    if not inductance > 0.0:
-        raise ValueError("inductance must be positive")
-    if elapsed < 0.0:
-        raise ValueError("elapsed must be >= 0")
-    return v_cell * elapsed / inductance
-
-
-def decay_current(i0: float, v_stack: float, conv: ConverterParams, elapsed: float) -> float:
-    """Freewheeling winding current ``elapsed`` seconds after switch-off.
-
-    The stack voltage reflects onto the winding through the turns ratio, so
-    the current falls linearly and clamps at zero after i0*L*N2/(N1*v_stack).
-    """
-    if i0 < 0.0:
-        raise ValueError("i0 must be >= 0")
-    if not v_stack > 0.0:
-        raise ValueError(f"stack voltage must be positive, got {v_stack!r}")
-    if elapsed < 0.0:
-        raise ValueError("elapsed must be >= 0")
-    ratio = conv.turns_primary / conv.turns_secondary
-    return max(0.0, i0 - ratio * v_stack * elapsed / conv.magnetizing_inductance)
-
-
-def secondary_current(off_winding_currents: Sequence[float], conv: ConverterParams) -> float:
-    """Secondary-side current fed by the given freewheeling winding currents."""
-    total = 0.0
-    for i in off_winding_currents:
-        if i < 0.0:
-            raise ValueError("winding currents must be >= 0")
-        total += i
-    return total * conv.turns_primary / conv.turns_secondary
-
-
-def balancing_currents(
-    winding_currents: Sequence[float], conducting: Sequence[bool], i_secondary: float
-) -> list[float]:
-    """Net instantaneous current into each cell.
-
-    Every cell sees the secondary (stack) current; a cell whose switch is
-    closed additionally sources its winding current.  Windings with current
-    but an open switch are freewheeling and already accounted inside
-    ``i_secondary``, so they do not drain their own cell.
-    """
-    if len(winding_currents) != len(conducting):
-        raise ValueError("winding_currents and conducting must have equal length")
-    return [
-        i_secondary - (iw if on else 0.0)
-        for iw, on in zip(winding_currents, conducting)
-    ]
 
 
 def _activity_pieces(v_over_l: float, on1: bool, on2: bool, half: float, fw_slope: float):

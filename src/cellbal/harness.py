@@ -147,8 +147,10 @@ class ScenarioConfig:
             raise ValueError("idle_dt must be positive")
         if not (isinstance(self.record_every, int) and self.record_every >= 1):
             raise ValueError("record_every must be an integer >= 1")
-        if self.noise_std < 0.0:
-            raise ValueError("noise_std must be >= 0")
+        if not (self.noise_std >= 0.0 and math.isfinite(self.noise_std)):
+            raise ValueError(f"noise_std must be >= 0 and finite, got {self.noise_std!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
         if not 0.0 < self.forgetting_factor <= 1.0:
             raise ValueError("forgetting_factor must lie in (0, 1]")
         if not self.initial_covariance > 0.0:
@@ -156,7 +158,7 @@ class ScenarioConfig:
         # nominal cycle: on-time at the lowest allowed voltage plus the freewheel tail
         c, v_floor = self.converter, min(p.v_min for p, _ in self.cells)
         tail = 1.0 + c.turns_secondary / (c.turns_primary * len(self.cells))
-        cycle = c.magnetizing_inductance * c.peak_current * tail / v_floor if v_floor > 0 else 0
+        cycle = c.magnetizing_inductance * c.peak_current * tail / v_floor
         if not math.isfinite(cycle) or 0.0 < self.max_time < cycle:
             raise ValueError(f"converter cycle {cycle:.3g} s exceeds max_time {self.max_time} s")
 

@@ -4,13 +4,25 @@ subcommands driven end to end as subprocesses."""
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cellbal import TraceRecord, run_scenario, std
+from cellbal import (
+    CellParams,
+    CellState,
+    ChargerConfig,
+    ControllerConfig,
+    ConverterParams,
+    ScenarioConfig,
+    TraceRecord,
+    run_scenario,
+    std,
+)
 from cellbal.cli import (
     ConfigError,
     TraceFormatError,
@@ -64,6 +76,23 @@ def synthetic_linear_trace(rows: int = 80, dt: float = 60.0, seed: int = 17):
             )
         )
     return records
+
+
+def wrong_type_cases():
+    """(key as errors name it, raw config with a wrong JSON type at that key)
+    for every key of every section."""
+    cases = []
+    for section, body in effective_config({}).items():
+        for key, default in (body[0] if section == "cells" else body).items():
+            wrong = 1 if isinstance(default, str) else "text"
+            if section == "cells":
+                cases.append((f"cells[0].{key}", {"cells": [{key: wrong}]}))
+            else:
+                cases.append((f"{section}.{key}", {section: {key: wrong}}))
+    return cases
+
+
+WRONG_TYPE_CASES = wrong_type_cases()
 
 
 class TestStripComments:
@@ -143,6 +172,27 @@ class TestEffectiveConfig:
             effective_config({"run": {"seed": 1.5}})
         with pytest.raises(ConfigError, match="list of 5"):
             effective_config({"cells": [{"ocv_coeffs": [1, 2, 3]}]})
+
+    def test_sections_are_the_dataclass_fields(self):
+        def names(cls):
+            return [f.name for f in dataclasses.fields(cls)]
+
+        eff = effective_config({})
+        assert list(eff) == ["cells", "converter", "charger", "controller", "run"]
+        for cell in eff["cells"]:
+            assert list(cell) == names(CellState) + names(CellParams)
+        assert list(eff["converter"]) == [n for n in names(ConverterParams) if n != "n_cells"]
+        assert list(eff["charger"]) == names(ChargerConfig)
+        assert list(eff["controller"]) == names(ControllerConfig)
+        nested = ("cells", "converter", "charger", "controller")
+        run = [n for n in names(ScenarioConfig) if n not in nested]
+        run.insert(run.index("policy") + 1, "policies")
+        assert list(eff["run"]) == run
+
+    @pytest.mark.parametrize("where, raw", WRONG_TYPE_CASES, ids=[w for w, _ in WRONG_TYPE_CASES])
+    def test_wrong_type_names_the_key(self, where, raw):
+        with pytest.raises(ConfigError, match=re.escape(where)):
+            effective_config(raw)
 
     def test_shipped_example_matches_builtin_defaults(self):
         # the example file annotates every default; it must not drift
@@ -285,6 +335,29 @@ class TestSimulateCommand:
         assert r.returncode == 2
         assert "exceeds max_time" in r.stderr
 
+    def test_non_positive_v_min_exits_2(self, tmp_path):
+        # v_min bounds the nominal converter cycle, which must fit max_time
+        r = cli(
+            "simulate", "--set", "cells.0.v_min=0",
+            "--set", "converter.magnetizing_inductance=1e300",
+            "--set", "run.max_time=10", cwd=tmp_path,
+        )
+        assert r.returncode == 2
+        assert "v_min must be positive" in r.stderr
+
+    @pytest.mark.parametrize(
+        "assignment, field",
+        [
+            ("run.seed=-1", "seed"),
+            ("cells.0.self_discharge_resistance=Infinity", "self_discharge_resistance"),
+            ("run.noise_std=NaN", "noise_std"),
+        ],
+    )
+    def test_out_of_domain_value_exits_2(self, tmp_path, assignment, field):
+        r = cli("simulate", "--set", assignment, "--out", str(tmp_path / "run"), cwd=tmp_path)
+        assert r.returncode == 2
+        assert field in r.stderr
+
     def test_zero_length_run_writes_header_only(self, tmp_path):
         r = cli(
             "simulate", "--set", "run.max_time=0", "--out", str(tmp_path / "run"),
@@ -339,6 +412,15 @@ class TestSweepCommand:
         r = cli("sweep", "--set", 'run.policies=["ampc","ampc"]', cwd=tmp_path)
         assert r.returncode == 2
         assert "duplicate" in r.stderr
+
+    def test_unknown_policy_exits_2_before_any_run(self, tmp_path):
+        r = cli(
+            "sweep", "--set", 'run.policies=["ampc","bogus"]', "--out", str(tmp_path / "sw"),
+            cwd=tmp_path,
+        )
+        assert r.returncode == 2
+        assert "'bogus'" in r.stderr
+        assert not (tmp_path / "sw").exists()
 
 
 class TestIdentifyCommand:

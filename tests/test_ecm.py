@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from cellbal import (
-    CellMeasurement,
     CellParams,
     CellState,
     ocv,
@@ -65,6 +64,9 @@ class TestCellParams:
             ("ocv_exponent", math.inf),
             ("self_discharge_resistance", 0.0),
             ("self_discharge_resistance", -1e4),
+            ("self_discharge_resistance", math.inf),
+            ("v_min", 0.0),
+            ("v_min", -1.0),
         ],
     )
     def test_positivity_rejections(self, field, value):
@@ -105,11 +107,6 @@ class TestStateAndMeasurement:
             CellState(soc=0.5, v1=math.nan)
         with pytest.raises(ValueError):
             CellState(soc=0.5, v2=math.inf)
-
-    def test_measurement_finite(self):
-        CellMeasurement(terminal_voltage=3.7, current=-0.4)
-        with pytest.raises(ValueError):
-            CellMeasurement(terminal_voltage=math.nan, current=0.0)
 
 
 class TestTerminalVoltage:

@@ -14,12 +14,8 @@ from cellbal import (
     CycleTiming,
     PiecewiseLinear,
     SwitchPlan,
-    balancing_currents,
     compute_t_on,
     cycle_charge_deltas,
-    decay_current,
-    on_ramp_current,
-    secondary_current,
     simulate_cycle,
 )
 from cellbal.flyback import charge_table
@@ -124,46 +120,6 @@ class TestPointwiseHelpers:
     def test_t_on_rejects_zero_voltage(self):
         with pytest.raises(ValueError, match="positive"):
             compute_t_on(SMALL, 0.0)
-
-    def test_on_ramp(self):
-        assert on_ramp_current(4.0, 1e-4, 2.5e-5) == pytest.approx(1.0, rel=1e-15)
-        assert on_ramp_current(4.0, 1e-4, 0.0) == 0.0
-        with pytest.raises(ValueError):
-            on_ramp_current(-1.0, 1e-4, 1.0)
-        with pytest.raises(ValueError):
-            on_ramp_current(4.0, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            on_ramp_current(4.0, 1e-4, -1.0)
-
-    def test_decay_reaches_zero_exactly(self):
-        # slope (N1/N2)*v_stack/L = 0.25*16/1e-4 = 4e4 A/s, so 2 A lasts 50 us
-        assert decay_current(2.0, 16.0, SMALL, 2.5e-5) == pytest.approx(1.0, rel=1e-15)
-        assert decay_current(2.0, 16.0, SMALL, 5e-5) == 0.0
-        assert decay_current(2.0, 16.0, SMALL, 9e-5) == 0.0
-        assert decay_current(0.0, 16.0, SMALL, 1e-6) == 0.0
-
-    def test_decay_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            decay_current(-0.1, 16.0, SMALL, 0.0)
-        with pytest.raises(ValueError, match="stack"):
-            decay_current(1.0, 0.0, SMALL, 0.0)
-        with pytest.raises(ValueError):
-            decay_current(1.0, 16.0, SMALL, -1e-6)
-
-    def test_secondary_current(self):
-        assert secondary_current((2.0, 0.0, 0.0, 0.0), SMALL) == pytest.approx(0.5)
-        assert secondary_current((1.0, 1.0, 0.0, 0.0), SMALL) == pytest.approx(0.5)
-        assert secondary_current((0.0, 0.0, 0.0, 0.0), SMALL) == 0.0
-        with pytest.raises(ValueError):
-            secondary_current((1.0, -0.2, 0.0, 0.0), SMALL)
-
-    def test_balancing_currents(self):
-        out = balancing_currents([2.0, 0.0, 1.0, 0.0], [True, False, False, False], 0.5)
-        assert out == pytest.approx([-1.5, 0.5, 0.5, 0.5])
-        out = balancing_currents([0.0] * 4, [False] * 4, 0.0)
-        assert out == [0.0, 0.0, 0.0, 0.0]
-        with pytest.raises(ValueError):
-            balancing_currents([1.0, 2.0], [True], 0.0)
 
 
 class TestSimulateCycle:
