@@ -28,8 +28,6 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Sequence
 
-import numpy as np
-
 from .controller import ControllerConfig
 from .ecm import CellParams, CellState, representative_cell_params
 from .flyback import ConverterParams
@@ -397,13 +395,9 @@ def read_trace(path: str | Path) -> TraceTable:
     return table
 
 
-def _summary_dict(summary: Summary) -> dict:
-    return dataclasses.asdict(summary)
-
-
-def write_summary(path: str | Path, summary: Summary) -> None:
+def _write_json(path: Path, data: Any) -> None:
     with open(path, "w") as fh:
-        json.dump(_summary_dict(summary), fh, indent=2)
+        json.dump(data, fh, indent=2)
         fh.write("\n")
 
 
@@ -435,11 +429,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     out = _resolve_out(args.out, "simulate")
     trace, summary = run_scenario(scenario)
     write_trace(out / "trace.csv", trace, len(scenario.cells))
-    write_summary(out / "summary.json", summary)
+    _write_json(out / "summary.json", dataclasses.asdict(summary))
     if args.dump_config:
-        with open(out / "effective_config.json", "w") as fh:
-            json.dump(eff, fh, indent=2)
-            fh.write("\n")
+        _write_json(out / "effective_config.json", eff)
     print(f"wrote {out / 'trace.csv'} ({len(trace)} rows) and {out / 'summary.json'}")
     return 0
 
@@ -482,7 +474,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         sub.mkdir(exist_ok=True)
         trace, summary = results[p]
         write_trace(sub / "trace.csv", trace, n_cells)
-        write_summary(sub / "summary.json", summary)
+        _write_json(sub / "summary.json", dataclasses.asdict(summary))
 
     with open(out / "comparison.csv", "w", newline="") as fh:
         w = csv.writer(fh)
@@ -495,9 +487,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 row.append("" if value is None else _fmt(value))
             w.writerow(row)
     if args.dump_config:
-        with open(out / "effective_config.json", "w") as fh:
-            json.dump(eff, fh, indent=2)
-            fh.write("\n")
+        _write_json(out / "effective_config.json", eff)
     print(f"wrote {out / 'comparison.csv'} ({len(policies)} policies)")
     return 0
 
@@ -506,41 +496,43 @@ _IDENT_COLUMNS = ["time_s", "cell", "theta1", "theta2", "theta3", "prediction_er
 
 
 def replay_identification(
-    table: TraceTable,
-    capacities: Sequence[float],
-    forgetting_factor: float,
-    initial_covariance: float,
+    table: TraceTable, scenario: ScenarioConfig
 ) -> list[tuple[float, int, float, float, float, float]]:
-    """Re-run the estimator offline over a recorded trace.
-
-    Every data row yields one update per cell; the reported error is the
-    innovation (measured minus predicted) before that update.  Charge is
-    re-integrated from the recorded interval currents, and the estimators
-    start cold so the result depends only on the trace and the two tuning
-    numbers.
+    """Re-run the scenario's online estimator over a recorded trace, one update
+    per cell and row, reporting each update's innovation.  As online, a row's
+    voltage pairs with the previous row's currents (the charger's on the first
+    row) and the charge they moved, so the thetas equal the recorded ones bit
+    for bit on every row but the last, which the run records without an update.
     """
-    if len(capacities) != table.n_cells:
-        raise ConfigError(
-            f"trace has {table.n_cells} cells but the config defines {len(capacities)}"
-        )
-    estimators = [
-        rls.init(np.zeros(3), initial_covariance, forgetting_factor)
-        for _ in range(table.n_cells)
-    ]
-    charge = [0.0] * table.n_cells
+    cells = [params for params, _ in scenario.cells]
+    if len(cells) != table.n_cells:
+        raise ConfigError(f"trace has {table.n_cells} cells but the config defines {len(cells)}")
+    for a, b in zip(table.cycle, table.cycle[1:]):
+        if b != a + 1:
+            raise ConfigError(
+                f"trace skips from cycle {a} to {b}; identify needs run.record_every=1"
+            )
+    estimators = rls.initial_estimators(
+        cells, scenario.warm_start, scenario.initial_covariance, scenario.forgetting_factor
+    )
+    capacities = [p.capacity_coulombs for p in cells]
+    charges = [0.0] * table.n_cells
     rows = []
-    prev_t = 0.0
-    for k in range(len(table)):
-        dt = table.time[k] - prev_t
-        prev_t = table.time[k]
-        for j in range(table.n_cells):
-            i_j = table.current[k][j]
-            charge[j] += i_j * dt
-            x = build_regressor(i_j, charge[j], capacities[j])
-            err = table.voltage[k][j] - rls.predict(estimators[j], x)
-            estimators[j] = rls.update(estimators[j], x, table.voltage[k][j])
-            th = estimators[j].theta
-            rows.append((table.time[k], j + 1, float(th[0]), float(th[1]), float(th[2]), err))
+    for k, voltages in enumerate(table.voltage):
+        if k:
+            currents, dt = table.current[k - 1], table.time[k] - table.time[k - 1]
+            charges = [q + i * dt for q, i in zip(charges, currents)]
+        else:
+            currents = [table.charger_current[0]] * table.n_cells
+        errors = [
+            v - rls.predict(est, build_regressor(i, q, c))
+            for est, v, i, q, c in zip(estimators, voltages, currents, charges, capacities)
+        ]
+        estimators = rls.identification_step(estimators, voltages, currents, charges, capacities)
+        rows += [
+            (table.time[k], j + 1, *est.theta.tolist(), err)
+            for j, (est, err) in enumerate(zip(estimators, errors))
+        ]
     return rows
 
 
@@ -550,12 +542,7 @@ def cmd_identify(args: argparse.Namespace) -> int:
     table = read_trace(args.trace)
     if len(table) == 0:
         raise ConfigError(f"{args.trace}: trace has no data rows")
-    eff = _load_effective(args)
-    capacities = [c["capacity_coulombs"] for c in eff["cells"]]
-    run = eff["run"]
-    rows = replay_identification(
-        table, capacities, run["forgetting_factor"], run["initial_covariance"]
-    )
+    rows = replay_identification(table, build_scenario(_load_effective(args)))
     out = _resolve_out(args.out, "identify")
     with open(out / "identification.csv", "w", newline="") as fh:
         w = csv.writer(fh)

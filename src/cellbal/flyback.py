@@ -234,6 +234,8 @@ def simulate_cycle(
 
     ``cell_voltages`` are the frozen per-cell terminal voltages for this
     cycle; the stack voltage seen by freewheeling windings is their sum.
+    The simulation applies :func:`cycle_charge_deltas`; this waveform view
+    is the reference that its closed form is tested against.
     """
     n = conv.n_cells
     if len(cell_voltages) != n:
@@ -384,7 +386,7 @@ def cycle_charge_deltas(
     conv: ConverterParams, cell_voltages: Sequence[float], plan: SwitchPlan
 ) -> tuple[tuple[float, ...], float]:
     """One plan's row of :func:`charge_table`: per-cell charge deltas and
-    cycle duration."""
+    cycle duration, as the simulation applies them."""
     cells = (plan.target_cell, plan.second_cell, plan.third_cell)
     deltas, t3 = charge_table(conv, cell_voltages, cells)
     k = SCHEDULES.index((plan.c11, plan.c21, plan.c12, plan.c22))

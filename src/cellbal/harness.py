@@ -3,9 +3,10 @@
 One simulated step is one balancing cycle when the controller is active,
 or one fixed idle interval when it is not.  Each step measures the cell
 voltages (optionally with seeded Gaussian noise), feeds every cell's online
-estimator, lets the controller decide, runs the chosen converter cycle
-against the frozen measured state, then advances the true cell models by the
-resulting average currents with the exact-hold integrator.  Everything is
+estimator, lets the controller decide, applies the chosen schedule's row of
+the converter's charge table at the frozen true voltages, then advances the
+true cell models by the resulting average currents, over exactly the time
+the clock moves, with the exact-hold integrator.  Everything is
 deterministic for a fixed seed.
 """
 
@@ -27,7 +28,7 @@ from .controller import (
     std,
 )
 from .ecm import CellParams, CellState, step_exact, terminal_voltage
-from .flyback import ConverterParams, SwitchPlan, simulate_cycle
+from .flyback import ConverterParams, SwitchPlan, cycle_charge_deltas
 
 INACTIVE_BITS = "----"
 
@@ -55,6 +56,9 @@ class ChargerConfig:
                 raise ValueError("|cc_current| must exceed cutoff_current")
             if not self.cv_voltage > 0.0:
                 raise ValueError("cv_voltage must be positive")
+            limit = self.cell_voltage_limit
+            if not (limit > 0.0 and math.isfinite(limit)):
+                raise ValueError(f"cell_voltage_limit must be positive and finite, got {limit!r}")
 
 
 @dataclass
@@ -139,12 +143,18 @@ class ScenarioConfig:
                 f"converter is sized for {self.converter.n_cells} cells "
                 f"but {len(self.cells)} were configured"
             )
+        for j, (p, s) in enumerate(self.cells):
+            v = terminal_voltage(p, s, 0.0)  # at rest
+            if not 0.0 < v <= 2.0 * p.v_max:
+                raise ValueError(f"cell {j} starts at {v:.4g} V, outside (0, {2 * p.v_max:.4g}] V")
         if self.policy not in ("ampc", "greedy", "none"):
             raise ValueError(f"policy must be ampc, greedy or none, got {self.policy!r}")
         if self.max_time < 0.0 or not math.isfinite(self.max_time):
             raise ValueError("max_time must be >= 0 and finite")
-        if not self.idle_dt > 0.0:
-            raise ValueError("idle_dt must be positive")
+        if not self.max_time + self.idle_dt > self.max_time:  # every idle step moves the clock
+            raise ValueError(
+                f"idle_dt must be positive and move the clock at max_time, got {self.idle_dt!r}"
+            )
         if not (isinstance(self.record_every, int) and self.record_every >= 1):
             raise ValueError("record_every must be an integer >= 1")
         if not (self.noise_std >= 0.0 and math.isfinite(self.noise_std)):
@@ -266,12 +276,9 @@ class Simulation:
         self.states = [s for _, s in cfg.cells]
         self.capacities = [p.capacity_coulombs for p in self.params]
         self.accumulators = [0.0] * len(self.params)
-        self.estimators = []
-        for p in self.params:
-            theta0 = rls.warm_start_theta(p) if cfg.warm_start else np.zeros(3)
-            self.estimators.append(
-                rls.init(theta0, cfg.initial_covariance, cfg.forgetting_factor)
-            )
+        self.estimators = rls.initial_estimators(
+            self.params, cfg.warm_start, cfg.initial_covariance, cfg.forgetting_factor
+        )
         self.charger_state = ChargerState()
         self.noise_rng = np.random.Generator(np.random.PCG64(cfg.seed))
         self.time = 0.0
@@ -364,10 +371,7 @@ class Simulation:
             soc=tuple(s.soc for s in self.states),
             voltage=tuple(v_meas),
             current=tuple(currents),
-            theta=tuple(
-                (float(e.theta[0]), float(e.theta[1]), float(e.theta[2]))
-                for e in self.estimators
-            ),
+            theta=tuple(tuple(e.theta.tolist()) for e in self.estimators),
             candidate_bits=bits,
             voltage_std=std(v_meas),
             charger_current=i_ext,
@@ -404,10 +408,11 @@ class Simulation:
         i_ext = self._charger_current()
         v_true, v_meas, i_ext = self._measure(i_ext)
 
+        # the current that flowed up to this measurement (the charger's at first)
         reg_currents = self._last_currents or [i_ext] * len(self.params)
-        for j, est in enumerate(self.estimators):
-            x = rls.build_regressor(reg_currents[j], self.accumulators[j], self.capacities[j])
-            self.estimators[j] = rls.update(est, x, v_meas[j])
+        self.estimators = rls.identification_step(
+            self.estimators, v_meas, reg_currents, self.accumulators, self.capacities
+        )
 
         decision = self._decide(v_meas, i_ext)
 
@@ -418,19 +423,20 @@ class Simulation:
             self._finish()
             return None
 
-        duration = 0.0
+        # dt is the amount the clock moves, so time[k+1] - time[k] == dt exactly
+        end = self.time
         if decision.balancing_active:
-            result = simulate_cycle(cfg.converter, v_true, decision.plan)
-            duration = result.timing.t3
-            if duration > 0.0:
-                currents = [
-                    i_ext - d / duration for d in result.charge_delta
-                ]
-                bits = decision.plan.c11, decision.plan.c21, decision.plan.c12, decision.plan.c22
-                bits = "".join("1" if b else "0" for b in bits)
-        if duration == 0.0:
-            # Idle interval, or a degenerate zero-length cycle.
-            duration = min(cfg.idle_dt, cfg.max_time - self.time)
+            deltas, t3 = cycle_charge_deltas(cfg.converter, v_true, decision.plan)
+            end = self.time + t3
+        dt = end - self.time
+        if dt > 0.0:
+            currents = [i_ext - d / dt for d in deltas]
+            plan = decision.plan
+            bits = "".join("01"[b] for b in (plan.c11, plan.c21, plan.c12, plan.c22))
+        else:
+            # Idle interval, or a cycle too short to move the clock.
+            end = self.time + min(cfg.idle_dt, cfg.max_time - self.time)
+            dt = end - self.time
             currents = [i_ext] * len(self.params)
             bits = INACTIVE_BITS
 
@@ -438,15 +444,15 @@ class Simulation:
         self._record(rec)
 
         for j, (p, s) in enumerate(zip(self.params, self.states)):
-            new_state, saturated = step_exact(p, s, currents[j], duration)
+            new_state, saturated = step_exact(p, s, currents[j], dt)
             self.states[j] = new_state
             if saturated:
                 self.events.append(
                     (self.time, "saturation", f"cell {j} hit a reservoir limit")
                 )
-            self.accumulators[j] += currents[j] * duration
+            self.accumulators[j] += currents[j] * dt
         self._last_currents = currents
-        self.time += duration
+        self.time = end
         self.cycle += 1
         return rec
 

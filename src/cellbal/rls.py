@@ -59,6 +59,12 @@ def warm_start_theta(params: CellParams) -> np.ndarray:
     return np.array([-params.series_resistance, -slope, ocv(params, 0.5)])
 
 
+def initial_estimators(cells, warm_start, p0_scale, forgetting_factor) -> list[RlsEstimator]:
+    """One fresh estimator per cell, warm from its nominal model or cold at zero."""
+    theta0 = [warm_start_theta(p) if warm_start else np.zeros(3) for p in cells]
+    return [init(t, p0_scale, forgetting_factor) for t in theta0]
+
+
 def build_regressor(current: float, cumulative_charge: float, capacity: float) -> np.ndarray:
     """Regressor [i, q/C, 1] for one sample.  The trailing 1 is structural."""
     if not capacity > 0.0:
@@ -86,6 +92,15 @@ def update(est: RlsEstimator, x, y: float) -> RlsEstimator:
         forgetting_factor=lam,
         sample_count=est.sample_count + 1,
     )
+
+
+def identification_step(estimators, voltages, currents, charges, capacities) -> list[RlsEstimator]:
+    """Update each cell's estimator with its measured voltage, paired with the
+    current that flowed up to the measurement and the charge moved before it."""
+    return [
+        update(est, build_regressor(i, q, c), v)
+        for est, v, i, q, c in zip(estimators, voltages, currents, charges, capacities)
+    ]
 
 
 def predict(est: RlsEstimator, x) -> float:

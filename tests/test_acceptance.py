@@ -25,6 +25,7 @@ from cellbal import (
     step_exact,
 )
 import cellbal.harness as harness
+from cellbal.cli import read_trace, replay_identification, write_trace
 from conftest import make_stock_scenario, run_cli
 from oracles import euler_step, fine_cycle_deltas, fine_cycle_stds, integrate_pwl_between
 
@@ -246,6 +247,37 @@ class TestEstimatorGuarantees:
             est = rls.update(est, rng.normal(size=3), float(rng.normal()))
             assert np.array_equal(est.covariance, est.covariance.T)
             assert np.linalg.eigvalsh(est.covariance)[0] > 0.0, (lam, k)
+
+
+class TestReplayMatchesOnline:
+    """`identify` replays the run's own estimator: on a trace of every cycle
+    its thetas equal the recorded ones bit for bit.  The final row is left
+    out; the run records it without an update."""
+
+    @staticmethod
+    def _mismatches(trace, scenario, tmp_path) -> int:
+        path = tmp_path / "trace.csv"
+        write_trace(path, trace, 4)
+        rows = replay_identification(read_trace(path), scenario)
+        replayed = [tuple(r[2:5]) for r in rows[:-4]]
+        recorded = [theta for rec in trace[:-1] for theta in rec.theta]
+        assert len(replayed) == len(recorded) > 1000
+        return sum(a != b for a, b in zip(replayed, recorded))
+
+    def test_stock_trace_with_stock_config(self, ampc_result, tmp_path):
+        assert self._mismatches(ampc_result[0], make_stock_scenario("ampc"), tmp_path) == 0
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(warm_start=False, max_time=300.0),
+            dict(policy="greedy", noise_std=0.005, seed=5, max_time=60.0),
+        ],
+    )
+    def test_short_runs(self, overrides, tmp_path):
+        scenario = make_stock_scenario(**overrides)
+        trace, _ = run_scenario(scenario)
+        assert self._mismatches(trace, scenario, tmp_path) == 0
 
 
 class TestScheduleOptimality:

@@ -52,23 +52,27 @@ HEADER_4 = [
 
 
 def synthetic_linear_trace(rows: int = 80, dt: float = 60.0, seed: int = 17):
-    """Trace whose voltages follow v = 0.1*i - 0.5*q/2880 + 3.7 exactly,
-    with q integrated the same way the offline replay integrates it."""
+    """Trace whose voltages follow v = 0.1*i - 0.5*q/2880 + 3.7 exactly, with
+    each row's voltage paired as the online estimator pairs it: with the
+    previous row's current (the charger current on the first row) and the
+    charge those currents moved up to the row."""
     rng = np.random.default_rng(seed)
     currents = rng.uniform(-2.0, 2.0, size=(rows, 4))
     records = []
+    i_prev = np.zeros(4)  # the charger current, 0.0 below
     q = np.zeros(4)
     for k in range(rows):
-        i_row = currents[k]
-        q = q + i_row * dt
-        v_row = 0.1 * i_row - 0.5 * q / 2880.0 + 3.7
+        if k:
+            q = q + i_prev * dt
+        v_row = 0.1 * i_prev - 0.5 * q / 2880.0 + 3.7
+        i_prev = currents[k]
         records.append(
             TraceRecord(
-                time=dt * (k + 1),
+                time=dt * k,
                 cycle=k,
                 soc=(0.5,) * 4,
                 voltage=tuple(float(v) for v in v_row),
-                current=tuple(float(i) for i in i_row),
+                current=tuple(float(i) for i in currents[k]),
                 theta=((0.0, 0.0, 0.0),) * 4,
                 candidate_bits="----",
                 voltage_std=std(tuple(float(v) for v in v_row)),
@@ -358,6 +362,23 @@ class TestSimulateCommand:
         assert r.returncode == 2
         assert field in r.stderr
 
+    @pytest.mark.parametrize("v1", ["1e200", "-1e200"])
+    def test_starting_cell_voltage_out_of_range_exits_2(self, tmp_path, v1):
+        r = cli(
+            "simulate", "--set", f"cells.0.v1={v1}", "--set", "run.max_time=50",
+            "--out", str(tmp_path / "run"), cwd=tmp_path,
+        )
+        assert r.returncode == 2
+        assert "cell 0 starts at" in r.stderr
+
+    def test_nan_cell_voltage_limit_exits_2(self, tmp_path):
+        r = cli(
+            "simulate", "--set", "charger.cell_voltage_limit=NaN", "--set", "run.max_time=20",
+            "--out", str(tmp_path / "run"), cwd=tmp_path,
+        )
+        assert r.returncode == 2
+        assert "cell_voltage_limit must be positive and finite" in r.stderr
+
     def test_zero_length_run_writes_header_only(self, tmp_path):
         r = cli(
             "simulate", "--set", "run.max_time=0", "--out", str(tmp_path / "run"),
@@ -440,7 +461,7 @@ class TestIdentifyCommand:
             assert abs(float(row[5])) < 1e-6
         # in-process replay must agree with the subprocess byte-for-byte
         expected = replay_identification(
-            read_trace(trace_path), [2880.0] * 4, 0.995, 1e6
+            read_trace(trace_path), build_scenario(effective_config({}))
         )
         got_last = [tuple(float(v) for v in row[2:5]) for row in rows[-4:]]
         want_last = [tuple(r[2:5]) for r in expected[-4:]]
@@ -481,8 +502,24 @@ class TestIdentifyCommand:
         from cellbal.cli import TraceTable
 
         empty = TraceTable(4, [], [], [], [], [], [], [], [], [])
+        five = build_scenario(effective_config({"cells": [{}] * 5}))
         with pytest.raises(ConfigError, match="4 cells"):
-            replay_identification(empty, [2880.0] * 2, 1.0, 1e6)
+            replay_identification(empty, five)
+
+    def test_decimated_trace_exits_2(self, tmp_path):
+        # every tenth cycle carries too little to replay the estimator
+        r = cli(
+            "simulate", "--set", "run.record_every=10", "--set", "run.max_time=20",
+            "--out", str(tmp_path / "run"), cwd=tmp_path,
+        )
+        assert r.returncode == 0, r.stderr
+        r = cli(
+            "identify", "--trace", str(tmp_path / "run" / "trace.csv"),
+            "--out", str(tmp_path / "id"), cwd=tmp_path,
+        )
+        assert r.returncode == 2
+        assert "from cycle 0 to 10" in r.stderr
+        assert "record_every" in r.stderr
 
 
 @pytest.fixture(scope="module")

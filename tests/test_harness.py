@@ -14,8 +14,10 @@ from cellbal import (
     ConverterParams,
     ScenarioConfig,
     Simulation,
+    SwitchPlan,
     TraceRecord,
     cc_cv_current,
+    cycle_charge_deltas,
     greedy_baseline_plan,
     representative_cell_params,
     run_scenario,
@@ -55,6 +57,11 @@ class TestChargerConfig:
     def test_bad_mode(self):
         with pytest.raises(ValueError, match="mode"):
             ChargerConfig(mode="trickle")
+
+    @pytest.mark.parametrize("limit", [math.nan, math.inf, 0.0, -4.2])
+    def test_cell_voltage_limit_must_be_positive_and_finite(self, limit):
+        with pytest.raises(ValueError, match="cell_voltage_limit"):
+            ChargerConfig(cell_voltage_limit=limit)
 
     def test_idle_skips_current_checks(self):
         cfg = ChargerConfig(mode="idle", cc_current=5.0)
@@ -144,6 +151,7 @@ class TestScenarioConfig:
             dict(max_time=-1.0),
             dict(max_time=math.inf),
             dict(idle_dt=0.0),
+            dict(idle_dt=1e-14),  # 4000.0 + 1e-14 == 4000.0
             dict(record_every=0),
             dict(noise_std=-0.001),
             dict(forgetting_factor=0.0),
@@ -154,6 +162,14 @@ class TestScenarioConfig:
     def test_scalar_domains(self, overrides):
         with pytest.raises(ValueError):
             make_stock_scenario(**overrides)
+
+    @pytest.mark.parametrize("v1", [1e200, -1e200, 3.7, -4.8])
+    def test_starting_rest_voltage_must_lie_in_band(self, v1):
+        # stock cells rest at 3.63 V at soc 0.6 and allow up to 2 * 4.2 V
+        cells = [(representative_cell_params(), CellState(soc=0.6, v1=v1))]
+        cells += [(representative_cell_params(), CellState(soc=0.6)) for _ in range(3)]
+        with pytest.raises(ValueError, match="cell 0 starts at"):
+            make_stock_scenario(cells=cells)
 
     @pytest.mark.parametrize("inductance", [1e300, 1e308, 1e4])
     def test_converter_cycle_must_fit_the_run(self, inductance):
@@ -278,6 +294,23 @@ class TestRunScenario:
         assert rec.candidate_bits == INACTIVE_BITS
         assert min(rec.voltage) <= 0.0
         sim.run()
+
+    def test_active_step_applies_the_charge_table_row(self):
+        # noiseless, so the recorded voltages are the true ones the cycle ran at
+        sim = Simulation(make_stock_scenario(max_time=20.0))
+        while True:  # a step late enough that t + t3 rounds
+            before = list(sim.accumulators)
+            rec = sim.step()
+            if rec.time > 1.0 and rec.candidate_bits != INACTIVE_BITS:
+                break
+        ranking = sorted(range(4), key=lambda j: (-rec.voltage[j], j))
+        flags = [b == "1" for b in rec.candidate_bits]
+        plan = SwitchPlan(*ranking[:3], *flags)
+        deltas, t3 = cycle_charge_deltas(sim.cfg.converter, rec.voltage, plan)
+        dt = (rec.time + t3) - rec.time
+        assert rec.current == tuple(rec.charger_current - d / dt for d in deltas)
+        assert sim.time - rec.time == dt
+        assert sim.accumulators == [q + i * dt for q, i in zip(before, rec.current)]
 
     def test_record_every_decimates(self):
         full, _ = run_scenario(make_stock_scenario(max_time=20.0))
