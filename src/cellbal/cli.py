@@ -39,7 +39,6 @@ from .harness import (
     run_scenario,
 )
 from . import rls
-from .rls import build_regressor
 
 
 class ConfigError(Exception):
@@ -328,26 +327,8 @@ def write_trace(path: str | Path, trace: Sequence[TraceRecord], n_cells: int) ->
             w.writerow(row)
 
 
-@dataclasses.dataclass
-class TraceTable:
-    """Parsed trace.csv contents, column-oriented."""
-
-    n_cells: int
-    time: list[float]
-    cycle: list[int]
-    soc: list[tuple[float, ...]]
-    voltage: list[tuple[float, ...]]
-    current: list[tuple[float, ...]]
-    theta: list[tuple[tuple[float, float, float], ...]]
-    candidate_bits: list[str]
-    voltage_std: list[float]
-    charger_current: list[float]
-
-    def __len__(self) -> int:
-        return len(self.time)
-
-
-def read_trace(path: str | Path) -> TraceTable:
+def read_trace(path: str | Path) -> list[TraceRecord]:
+    """The rows of a trace.csv, as the TraceRecords that were written."""
     p = Path(path)
     if not p.is_file():
         raise TraceFormatError(f"trace file not found: {p}")
@@ -360,10 +341,9 @@ def read_trace(path: str | Path) -> TraceTable:
         extra = len(header) - 5
         if extra < 6 or extra % 6 != 0:
             raise TraceFormatError(f"{p}: line 1: unrecognized column count {len(header)}")
-        n_cells = extra // 6
-        if header != trace_header(n_cells):
+        if header != trace_header(extra // 6):
             raise TraceFormatError(f"{p}: line 1: header does not match the trace schema")
-        table = TraceTable(n_cells, [], [], [], [], [], [], [], [], [])
+        trace = []
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -372,27 +352,22 @@ def read_trace(path: str | Path) -> TraceTable:
                     f"{p}: line {line_no}: expected {len(header)} fields, got {len(row)}"
                 )
             try:
-                table.time.append(float(row[0]))
-                table.cycle.append(int(row[1]))
-                soc, volt, cur, theta = [], [], [], []
-                for k in range(n_cells):
-                    base = 2 + 6 * k
-                    soc.append(float(row[base]))
-                    volt.append(float(row[base + 1]))
-                    cur.append(float(row[base + 2]))
-                    theta.append(
-                        (float(row[base + 3]), float(row[base + 4]), float(row[base + 5]))
-                    )
-                table.soc.append(tuple(soc))
-                table.voltage.append(tuple(volt))
-                table.current.append(tuple(cur))
-                table.theta.append(tuple(theta))
-                table.candidate_bits.append(row[-3])
-                table.voltage_std.append(float(row[-2]))
-                table.charger_current.append(float(row[-1]))
+                # per cell: soc, v, i, theta1, theta2, theta3
+                cells = list(map(float, row[2:-3]))
+                trace.append(TraceRecord(
+                    time=float(row[0]),
+                    cycle=int(row[1]),
+                    soc=tuple(cells[0::6]),
+                    voltage=tuple(cells[1::6]),
+                    current=tuple(cells[2::6]),
+                    theta=tuple(zip(cells[3::6], cells[4::6], cells[5::6])),
+                    candidate_bits=row[-3],
+                    voltage_std=float(row[-2]),
+                    charger_current=float(row[-1]),
+                ))
             except ValueError as e:
                 raise TraceFormatError(f"{p}: line {line_no}: {e}") from None
-    return table
+    return trace
 
 
 def _write_json(path: Path, data: Any) -> None:
@@ -496,7 +471,7 @@ _IDENT_COLUMNS = ["time_s", "cell", "theta1", "theta2", "theta3", "prediction_er
 
 
 def replay_identification(
-    table: TraceTable, scenario: ScenarioConfig
+    trace: Sequence[TraceRecord], scenario: ScenarioConfig
 ) -> list[tuple[float, int, float, float, float, float]]:
     """Re-run the scenario's online estimator over a recorded trace, one update
     per cell and row, reporting each update's innovation.  As online, a row's
@@ -505,95 +480,82 @@ def replay_identification(
     for bit on every row but the last, which the run records without an update.
     """
     cells = [params for params, _ in scenario.cells]
-    if len(cells) != table.n_cells:
-        raise ConfigError(f"trace has {table.n_cells} cells but the config defines {len(cells)}")
-    for a, b in zip(table.cycle, table.cycle[1:]):
-        if b != a + 1:
+    if trace and len(trace[0].voltage) != len(cells):
+        raise ConfigError(
+            f"trace has {len(trace[0].voltage)} cells but the config defines {len(cells)}"
+        )
+    for a, b in zip(trace, trace[1:]):
+        if b.cycle != a.cycle + 1:
             raise ConfigError(
-                f"trace skips from cycle {a} to {b}; identify needs run.record_every=1"
+                f"trace skips from cycle {a.cycle} to {b.cycle}; identify needs run.record_every=1"
             )
     estimators = rls.initial_estimators(
         cells, scenario.warm_start, scenario.initial_covariance, scenario.forgetting_factor
     )
     capacities = [p.capacity_coulombs for p in cells]
-    charges = [0.0] * table.n_cells
+    charges = [0.0] * len(cells)
     rows = []
-    for k, voltages in enumerate(table.voltage):
+    for k, rec in enumerate(trace):
         if k:
-            currents, dt = table.current[k - 1], table.time[k] - table.time[k - 1]
+            prev = trace[k - 1]
+            currents, dt = prev.current, rec.time - prev.time
             charges = [q + i * dt for q, i in zip(charges, currents)]
         else:
-            currents = [table.charger_current[0]] * table.n_cells
-        errors = [
-            v - rls.predict(est, build_regressor(i, q, c))
-            for est, v, i, q, c in zip(estimators, voltages, currents, charges, capacities)
-        ]
-        estimators = rls.identification_step(estimators, voltages, currents, charges, capacities)
+            currents = [rec.charger_current] * len(cells)
+        estimators = rls.identification_step(estimators, rec.voltage, currents, charges, capacities)
         rows += [
-            (table.time[k], j + 1, *est.theta.tolist(), err)
-            for j, (est, err) in enumerate(zip(estimators, errors))
+            (rec.time, j + 1, *est.theta.tolist(), est.innovation)
+            for j, est in enumerate(estimators)
         ]
     return rows
 
 
-def cmd_identify(args: argparse.Namespace) -> int:
+def _read_rows(args: argparse.Namespace, command: str) -> list[TraceRecord]:
     if args.trace is None:
-        raise ConfigError("identify requires --trace pointing at a trace.csv")
-    table = read_trace(args.trace)
-    if len(table) == 0:
+        raise ConfigError(f"{command} requires --trace pointing at a trace.csv")
+    trace = read_trace(args.trace)
+    if not trace:
         raise ConfigError(f"{args.trace}: trace has no data rows")
-    rows = replay_identification(table, build_scenario(_load_effective(args)))
+    return trace
+
+
+def cmd_identify(args: argparse.Namespace) -> int:
+    trace = _read_rows(args, "identify")
+    scenario = build_scenario(_load_effective(args))
+    rows = replay_identification(trace, scenario)
     out = _resolve_out(args.out, "identify")
     with open(out / "identification.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(_IDENT_COLUMNS)
         for t, cell, t1, t2, t3, err in rows:
             w.writerow([_fmt(t), str(cell), _fmt(t1), _fmt(t2), _fmt(t3), _fmt(err)])
-    final_err = max(abs(r[5]) for r in rows[-table.n_cells:])
+    final_err = max(abs(r[5]) for r in rows[-len(scenario.cells):])
     print(f"wrote {out / 'identification.csv'}; final |prediction error| {final_err:.3e} V")
     return 0
 
 
 def cmd_export_plots(args: argparse.Namespace) -> int:
-    if args.trace is None:
-        raise ConfigError("export-plots requires --trace pointing at a trace.csv")
-    table = read_trace(args.trace)
-    if len(table) == 0:
-        raise ConfigError(f"{args.trace}: trace has no data rows")
+    trace = _read_rows(args, "export-plots")
     out = _resolve_out(args.out, "export-plots")
-
-    with open(out / "soc_vs_time.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["time_s", "cell", "soc"])
-        for k in range(len(table)):
-            for j in range(table.n_cells):
-                w.writerow([_fmt(table.time[k]), str(j + 1), _fmt(table.soc[k][j])])
-
-    # balancing share of each cell's current; the charger part is common mode
-    with open(out / "balancing_current_vs_time.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["time_s", "cell", "current_a"])
-        for k in range(len(table)):
-            for j in range(table.n_cells):
-                w.writerow(
-                    [
-                        _fmt(table.time[k]),
-                        str(j + 1),
-                        _fmt(table.current[k][j] - table.charger_current[k]),
-                    ]
-                )
-
-    first = table.voltage[0]
-    hi = max(range(table.n_cells), key=lambda j: (first[j], -j))
-    lo = min(range(table.n_cells), key=lambda j: (first[j], j))
-    with open(out / "extreme_voltages_vs_time.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["time_s", "cell", "voltage_v"])
-        for k in range(len(table)):
-            for j in (hi, lo):
-                w.writerow([_fmt(table.time[k]), str(j + 1), _fmt(table.voltage[k][j])])
-
-    print(f"wrote 3 plot files to {out}")
+    first = trace[0].voltage
+    cells = range(len(first))
+    hi = max(cells, key=lambda j: (first[j], -j))
+    lo = min(cells, key=lambda j: (first[j], j))
+    # (file, value column, cells, value); the balancing current leaves out the
+    # charger's common-mode part
+    plots = (
+        ("soc_vs_time.csv", "soc", cells, lambda r, j: r.soc[j]),
+        ("balancing_current_vs_time.csv", "current_a", cells,
+         lambda r, j: r.current[j] - r.charger_current),
+        ("extreme_voltages_vs_time.csv", "voltage_v", (hi, lo), lambda r, j: r.voltage[j]),
+    )
+    for name, column, plot_cells, value in plots:
+        with open(out / name, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["time_s", "cell", column])
+            for r in trace:
+                w.writerows([_fmt(r.time), str(j + 1), _fmt(value(r, j))] for j in plot_cells)
+    print(f"wrote {len(plots)} plot files to {out}")
     return 0
 
 

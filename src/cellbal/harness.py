@@ -31,6 +31,9 @@ from .ecm import CellParams, CellState, step_exact, terminal_voltage
 from .flyback import ConverterParams, SwitchPlan, cycle_charge_deltas
 
 INACTIVE_BITS = "----"
+_TRACE_BITS = {INACTIVE_BITS, *(format(k, "04b") for k in range(16))}
+# A run needing more steps than this, at its nominal cycle or at idle_dt, has no practical end.
+MAX_NOMINAL_STEPS = 1e7
 
 
 @dataclass(frozen=True)
@@ -171,6 +174,12 @@ class ScenarioConfig:
         cycle = c.magnetizing_inductance * c.peak_current * tail / v_floor
         if not math.isfinite(cycle) or 0.0 < self.max_time < cycle:
             raise ValueError(f"converter cycle {cycle:.3g} s exceeds max_time {self.max_time} s")
+        for name, dt in (("converter cycle", cycle), ("idle_dt", self.idle_dt)):
+            if dt > 0.0 and self.max_time / dt > MAX_NOMINAL_STEPS:
+                raise ValueError(
+                    f"max_time {self.max_time} s takes {self.max_time / dt:.3g} steps of "
+                    f"{name} {dt:.3g} s, over the limit of {MAX_NOMINAL_STEPS:.0e}"
+                )
 
 
 @dataclass(frozen=True)
@@ -193,9 +202,7 @@ class TraceRecord:
         n = len(self.soc)
         if not (len(self.voltage) == len(self.current) == len(self.theta) == n):
             raise ValueError("per-cell tuples must have equal length")
-        if self.candidate_bits != INACTIVE_BITS and (
-            len(self.candidate_bits) != 4 or any(b not in "01" for b in self.candidate_bits)
-        ):
+        if self.candidate_bits not in _TRACE_BITS:
             raise ValueError(f"bad candidate bits {self.candidate_bits!r}")
 
 
@@ -217,54 +224,66 @@ def _sorted_gap_std(voltages: Sequence[float]) -> float:
     return std(gaps)
 
 
+class _Totals:
+    """Running figures of merit, folded one record at a time.  Each record's
+    std, gap spread and converter draw are weighted by the time to the next
+    record; a lone record stands for itself."""
+
+    def __init__(self, gap_threshold: float):
+        self.gap_threshold = gap_threshold
+        self.rows = 0
+        self.first: Optional[TraceRecord] = None
+        self.last: Optional[TraceRecord] = None
+        self.completion: Optional[float] = None
+        self.w_std = self.w_unif = self.coulombs = 0.0
+
+    def add(self, rec: TraceRecord) -> None:
+        prev = self.last
+        self.rows += 1
+        if prev is None:
+            self.first = rec
+        else:
+            dt = rec.time - prev.time
+            self.w_std += prev.voltage_std * dt
+            self.w_unif += _sorted_gap_std(prev.voltage) * dt
+            for i_cell in prev.current:
+                drawn = i_cell - prev.charger_current
+                if drawn > 0.0:
+                    self.coulombs += drawn * dt
+        self.last = rec
+        # the gap closes for good at the first closed record after the last open one
+        if max(rec.voltage) - min(rec.voltage) > self.gap_threshold:
+            self.completion = None
+        elif self.completion is None:
+            self.completion = rec.time
+
+    def summary(self) -> Summary:
+        first, last = self.first, self.last
+        if not self.rows:
+            raise ValueError("cannot summarize an empty trace")
+        if self.rows == 1:
+            avg_std, uniformity = first.voltage_std, _sorted_gap_std(first.voltage)
+        else:
+            total = last.time - first.time
+            avg_std, uniformity = self.w_std / total, self.w_unif / total
+        return Summary(
+            completion_time=self.completion,
+            initial_voltage_spread=max(first.voltage) - min(first.voltage),
+            final_voltage_spread=max(last.voltage) - min(last.voltage),
+            initial_soc_spread=max(first.soc) - min(first.soc),
+            final_soc_spread=max(last.soc) - min(last.soc),
+            time_avg_voltage_std=avg_std,
+            gap_uniformity=uniformity,
+            converter_coulombs=self.coulombs,
+        )
+
+
 def summarize(trace: Sequence[TraceRecord], gap_threshold: float = 0.02) -> Summary:
     """Condense a trace into the run-level figures of merit."""
-    if not trace:
-        raise ValueError("cannot summarize an empty trace")
-
-    gaps = [max(r.voltage) - min(r.voltage) for r in trace]
-    last_open = None
-    for k, g in enumerate(gaps):
-        if g > gap_threshold:
-            last_open = k
-    if last_open is None:
-        completion: Optional[float] = trace[0].time
-    elif last_open == len(trace) - 1:
-        completion = None
-    else:
-        completion = trace[last_open + 1].time
-
-    if len(trace) == 1:
-        avg_std = trace[0].voltage_std
-        uniformity = _sorted_gap_std(trace[0].voltage)
-        coulombs = 0.0
-    else:
-        total = trace[-1].time - trace[0].time
-        w_std = 0.0
-        w_unif = 0.0
-        coulombs = 0.0
-        for k in range(len(trace) - 1):
-            dt = trace[k + 1].time - trace[k].time
-            w_std += trace[k].voltage_std * dt
-            w_unif += _sorted_gap_std(trace[k].voltage) * dt
-            row = trace[k]
-            for i_cell in row.current:
-                drawn = i_cell - row.charger_current
-                if drawn > 0.0:
-                    coulombs += drawn * dt
-        avg_std = w_std / total
-        uniformity = w_unif / total
-
-    return Summary(
-        completion_time=completion,
-        initial_voltage_spread=gaps[0],
-        final_voltage_spread=gaps[-1],
-        initial_soc_spread=max(trace[0].soc) - min(trace[0].soc),
-        final_soc_spread=max(trace[-1].soc) - min(trace[-1].soc),
-        time_avg_voltage_std=avg_std,
-        gap_uniformity=uniformity,
-        converter_coulombs=coulombs,
-    )
+    totals = _Totals(gap_threshold)
+    for rec in trace:
+        totals.add(rec)
+    return totals.summary()
 
 
 class Simulation:
@@ -284,6 +303,7 @@ class Simulation:
         self.time = 0.0
         self.cycle = 0
         self.trace: list[TraceRecord] = []
+        self.totals = _Totals(cfg.controller.gap_threshold)  # sees every step
         self.events: list[tuple[float, str, str]] = []
         self._last_currents: Optional[list[float]] = None
         self._in_band_violation: set[int] = set()
@@ -360,8 +380,9 @@ class Simulation:
             plant=plant,
         )
 
-    def _record(self, rec: TraceRecord, forced: bool = False) -> None:
-        if forced or rec.cycle % self.cfg.record_every == 0:
+    def _record(self, rec: TraceRecord) -> None:
+        self.totals.add(rec)
+        if rec.cycle % self.cfg.record_every == 0:
             self.trace.append(rec)
 
     def _snapshot(self, v_meas, currents, bits, i_ext) -> TraceRecord:
@@ -378,12 +399,12 @@ class Simulation:
         )
 
     def _finish(self) -> None:
-        # A run that never stepped leaves an empty trace on purpose.
-        if self.cycle > 0:
-            i_ext = self._charger_current()
-            _v_true, v_meas, i_ext = self._measure(i_ext)
-            rec = self._snapshot(v_meas, [i_ext] * len(self.params), INACTIVE_BITS, i_ext)
-            self._record(rec, forced=True)
+        i_ext = self._charger_current()
+        _v_true, v_meas, i_ext = self._measure(i_ext)
+        rec = self._snapshot(v_meas, [i_ext] * len(self.params), INACTIVE_BITS, i_ext)
+        self.totals.add(rec)
+        if self.cycle > 0:  # a run that never stepped leaves an empty trace on purpose
+            self.trace.append(rec)
         self._done = True
 
     # -- main loop -------------------------------------------------------
@@ -460,29 +481,9 @@ class Simulation:
         while self.step() is not None:
             pass
 
-    def initial_summary(self, gap_threshold: float) -> Summary:
-        """Summary of the untouched initial state, for zero-length runs."""
-        i_ext = self._charger_current()
-        v = [terminal_voltage(p, s, i_ext) for p, s in zip(self.params, self.states)]
-        socs = [s.soc for s in self.states]
-        gap = max(v) - min(v)
-        return Summary(
-            completion_time=0.0 if gap <= gap_threshold else None,
-            initial_voltage_spread=gap,
-            final_voltage_spread=gap,
-            initial_soc_spread=max(socs) - min(socs),
-            final_soc_spread=max(socs) - min(socs),
-            time_avg_voltage_std=std(v),
-            gap_uniformity=_sorted_gap_std(v),
-            converter_coulombs=0.0,
-        )
-
 
 def run_scenario(cfg: ScenarioConfig) -> tuple[list[TraceRecord], Summary]:
     """Run a scenario to completion and summarize it."""
     sim = Simulation(cfg)
     sim.run()
-    threshold = cfg.controller.gap_threshold
-    if sim.trace:
-        return sim.trace, summarize(sim.trace, threshold)
-    return sim.trace, sim.initial_summary(threshold)
+    return sim.trace, sim.totals.summary()

@@ -27,6 +27,7 @@ class RlsEstimator:
     covariance: np.ndarray   # shape (3, 3), symmetric positive definite
     forgetting_factor: float
     sample_count: int = 0
+    innovation: float = 0.0  # y - x . theta before the update that made this estimator
 
 
 def init(theta0, p0_scale: float, forgetting_factor: float = 0.995) -> RlsEstimator:
@@ -82,7 +83,8 @@ def update(est: RlsEstimator, x, y: float) -> RlsEstimator:
     lam = est.forgetting_factor
     px = est.covariance @ x
     gain = px / (lam + float(x @ px))
-    theta = est.theta + gain * (y - float(x @ est.theta))
+    innovation = y - float(x @ est.theta)
+    theta = est.theta + gain * innovation
     # x' P == (P x)' because P is kept symmetric.
     cov = (est.covariance - np.outer(gain, px)) / lam
     cov = 0.5 * (cov + cov.T)
@@ -91,6 +93,7 @@ def update(est: RlsEstimator, x, y: float) -> RlsEstimator:
         covariance=cov,
         forgetting_factor=lam,
         sample_count=est.sample_count + 1,
+        innovation=innovation,
     )
 
 

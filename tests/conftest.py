@@ -19,8 +19,9 @@ STOCK_SOCS = (0.60, 0.50, 0.45, 0.40)
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 
-def run_cli(*args, cwd) -> subprocess.CompletedProcess:
-    """Run ``python -m cellbal.cli *args`` in a child interpreter.
+def run_cli(*args, cwd, timeout=None) -> subprocess.CompletedProcess:
+    """Run ``python -m cellbal.cli *args`` in a child interpreter, raising
+    ``subprocess.TimeoutExpired`` if it runs longer than ``timeout`` seconds.
 
     The child inherits the environment with the absolute ``src`` directory
     prepended to ``PYTHONPATH``, so it imports the package under test even
@@ -34,6 +35,7 @@ def run_cli(*args, cwd) -> subprocess.CompletedProcess:
         env=env,
         capture_output=True,
         text=True,
+        timeout=timeout,
     )
 
 

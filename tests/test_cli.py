@@ -22,6 +22,7 @@ from cellbal import (
     TraceRecord,
     run_scenario,
     std,
+    summarize,
 )
 from cellbal.cli import (
     ConfigError,
@@ -218,21 +219,13 @@ class TestTraceIo:
         assert trace_header(4) == HEADER_4
 
     def test_round_trip_is_exact(self, tmp_path):
-        trace, _ = run_scenario(make_stock_scenario(max_time=5.0))
-        path = tmp_path / "trace.csv"
-        write_trace(path, trace, 4)
-        table = read_trace(path)
-        assert len(table) == len(trace)
-        for k, rec in enumerate(trace):
-            assert table.time[k] == rec.time
-            assert table.cycle[k] == rec.cycle
-            assert table.soc[k] == rec.soc
-            assert table.voltage[k] == rec.voltage
-            assert table.current[k] == rec.current
-            assert table.theta[k] == rec.theta
-            assert table.candidate_bits[k] == rec.candidate_bits
-            assert table.voltage_std[k] == rec.voltage_std
-            assert table.charger_current[k] == rec.charger_current
+        for noise_std in (0.0, 0.005):
+            scenario = make_stock_scenario(max_time=5.0, noise_std=noise_std, seed=3)
+            trace, summary = run_scenario(scenario)
+            path = tmp_path / "trace.csv"
+            write_trace(path, trace, 4)
+            assert read_trace(path) == trace
+            assert summarize(read_trace(path), scenario.controller.gap_threshold) == summary
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(TraceFormatError, match="not found"):
@@ -271,6 +264,19 @@ class TestTraceIo:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(TraceFormatError, match="line 4"):
             read_trace(path)
+
+    def test_bad_candidate_bits_name_their_line(self, tmp_path):
+        trace, _ = run_scenario(make_stock_scenario(max_time=3.0))
+        path = tmp_path / "t.csv"
+        write_trace(path, trace, 4)
+        lines = path.read_text().splitlines()
+        parts = lines[2].split(",")
+        parts[-3] = "01a0"
+        lines[2] = ",".join(parts)
+        path.write_text("\n".join(lines) + "\n")
+        r = cli("identify", "--trace", str(path), "--out", str(tmp_path / "id"), cwd=tmp_path)
+        assert r.returncode == 2
+        assert "line 3" in r.stderr and "'01a0'" in r.stderr
 
 
 class TestSimulateCommand:
@@ -315,7 +321,7 @@ class TestSimulateCommand:
         )
         assert r.returncode == 0, r.stderr
         (run,) = (tmp_path / "runs").iterdir()
-        assert read_trace(run / "trace.csv").soc[0][0] == 0.7
+        assert read_trace(run / "trace.csv")[0].soc[0] == 0.7
 
     def test_out_of_range_cell_override_exits_2(self, tmp_path):
         r = cli("simulate", "--set", "cells.4.soc=0.7", cwd=tmp_path)
@@ -328,8 +334,8 @@ class TestSimulateCommand:
             "--out", str(tmp_path / "run"), cwd=tmp_path,
         )
         assert r.returncode == 0, r.stderr
-        table = read_trace(tmp_path / "run" / "trace.csv")
-        assert min(min(v) for v in table.voltage) <= 0.0
+        trace = read_trace(tmp_path / "run" / "trace.csv")
+        assert min(min(rec.voltage) for rec in trace) <= 0.0
 
     def test_huge_inductance_exits_2(self, tmp_path):
         r = cli(
@@ -378,6 +384,21 @@ class TestSimulateCommand:
         )
         assert r.returncode == 2
         assert "cell_voltage_limit must be positive and finite" in r.stderr
+
+    @pytest.mark.parametrize(
+        "sets",
+        [
+            ["converter.magnetizing_inductance=1e-9"],
+            ["run.policy=none", "run.idle_dt=1e-12", "run.max_time=1"],
+        ],
+    )
+    def test_run_without_practical_end_exits_2(self, tmp_path, sets):
+        # 1.2e12 converter cycles, or 1e12 idle steps: refused before any step
+        args = [arg for s in sets for arg in ("--set", s)]
+        r = cli("simulate", *args, "--out", str(tmp_path / "run"), cwd=tmp_path, timeout=60)
+        assert r.returncode == 2
+        assert "over the limit of 1e+07" in r.stderr
+        assert not (tmp_path / "run").exists()
 
     def test_zero_length_run_writes_header_only(self, tmp_path):
         r = cli(
@@ -499,12 +520,10 @@ class TestIdentifyCommand:
         assert len(rows) - 1 == 4
 
     def test_capacity_count_mismatch(self):
-        from cellbal.cli import TraceTable
-
-        empty = TraceTable(4, [], [], [], [], [], [], [], [], [])
+        one_row = synthetic_linear_trace(rows=1)
         five = build_scenario(effective_config({"cells": [{}] * 5}))
         with pytest.raises(ConfigError, match="4 cells"):
-            replay_identification(empty, five)
+            replay_identification(one_row, five)
 
     def test_decimated_trace_exits_2(self, tmp_path):
         # every tenth cycle carries too little to replay the estimator
@@ -544,8 +563,7 @@ class TestExportPlotsCommand:
             return list(csv.reader(fh))
 
     def test_row_counts(self, run_dir):
-        table = read_trace(run_dir / "run" / "trace.csv")
-        n = len(table)
+        n = len(read_trace(run_dir / "run" / "trace.csv"))
         assert len(self._rows(run_dir, "soc_vs_time.csv")) - 1 == n * 4
         assert len(self._rows(run_dir, "balancing_current_vs_time.csv")) - 1 == n * 4
         assert len(self._rows(run_dir, "extreme_voltages_vs_time.csv")) - 1 == n * 2
@@ -557,12 +575,12 @@ class TestExportPlotsCommand:
         assert [row[1] for row in rows[:2]] == ["1", "4"]
 
     def test_balancing_current_subtracts_charger(self, run_dir):
-        table = read_trace(run_dir / "run" / "trace.csv")
+        trace = read_trace(run_dir / "run" / "trace.csv")
         rows = self._rows(run_dir, "balancing_current_vs_time.csv")[1:]
-        for k in (0, len(table) // 2, len(table) - 1):
+        for k in (0, len(trace) // 2, len(trace) - 1):
             for j in range(4):
                 row = rows[k * 4 + j]
-                expect = table.current[k][j] - table.charger_current[k]
+                expect = trace[k].current[j] - trace[k].charger_current
                 assert float(row[2]) == expect
 
     def test_missing_trace_exits_2(self, tmp_path):

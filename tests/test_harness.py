@@ -188,6 +188,18 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match="exceeds max_time"):
             make_stock_scenario(converter=conv, max_time=399.0)
 
+    def test_nominal_step_limit(self):
+        # L = 120 H gives a 400 s cycle, so only idle_dt can reach the limit:
+        # 5e6 s of 0.5 s idle steps is exactly 1e7 steps
+        slow = ConverterParams(magnetizing_inductance=120.0)
+        make_stock_scenario(converter=slow, max_time=5e6, idle_dt=0.5)
+        with pytest.raises(ValueError, match="steps of idle_dt 0.5 s"):
+            make_stock_scenario(converter=slow, max_time=5e6 + 0.5, idle_dt=0.5)
+        # a 4000 s run has 1200 / L nominal cycles (L * 5 A / 3 V * 2 each)
+        make_stock_scenario(converter=ConverterParams(magnetizing_inductance=2e-4))
+        with pytest.raises(ValueError, match="steps of converter cycle"):
+            make_stock_scenario(converter=ConverterParams(magnetizing_inductance=1e-4))
+
 
 class TestTraceRecord:
     def test_bits_must_be_binary_or_inactive(self):
@@ -318,6 +330,14 @@ class TestRunScenario:
         kept = [r for r in full if r.cycle % 5 == 0]
         assert [r.cycle for r in thin[:-1]] == [r.cycle for r in kept[: len(thin) - 1]]
         assert thin[-1].time == full[-1].time  # final snapshot always lands
+
+    def test_summary_does_not_depend_on_record_every(self):
+        # the figures of merit fold every step, not only the recorded rows
+        summaries = [
+            run_scenario(make_stock_scenario(max_time=60.0, record_every=n))[1]
+            for n in (1, 10, 100)
+        ]
+        assert summaries[0] == summaries[1] == summaries[2]
 
 
 class TestSummarize:

@@ -87,6 +87,7 @@ class TestUpdate:
 
     def test_single_step_hand_value(self):
         est = rls.update(rls.init(np.zeros(3), 1e6, 1.0), np.array([1.0, 0.0, 0.0]), 4.0)
+        assert est.innovation == 4.0  # y - x . theta of the zero prior
         assert est.theta[0] == pytest.approx(4e6 / (1e6 + 1.0), rel=1e-15)
         assert est.theta[1] == 0.0 and est.theta[2] == 0.0
         # P'[0,0] subtracts two ~1e6 terms, so ~p0*eps of the exact value survives
