@@ -11,24 +11,11 @@ from .ecm import (
     step_exact,
     terminal_voltage,
 )
-from .rls import RlsEstimator, build_regressor, init, predict, update, warm_start_theta
-from .flyback import (
-    ConverterParams,
-    CycleResult,
-    CycleTiming,
-    PiecewiseLinear,
-    SwitchPlan,
-    compute_t_on,
-    cycle_charge_deltas,
-    simulate_cycle,
-)
+from .rls import RlsEstimator, build_regressor, init, update, warm_start_theta
+from .flyback import ConverterParams, SwitchPlan, compute_t_on, cycle_charge_deltas
 from .controller import (
-    CANDIDATES,
-    Candidate,
     ControllerConfig,
     Decision,
-    enumerate_candidates,
-    plan_from_candidate,
     predict_stds,
     predict_stds_plant,
     rank_cells,

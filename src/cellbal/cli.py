@@ -578,7 +578,6 @@ def _build_parser() -> argparse.ArgumentParser:
             metavar="KEY=VALUE",
             help="override a config entry, e.g. run.max_time=100 or cells.0.soc=0.5",
         )
-        p.add_argument("--jobs", type=int, default=1, help="parallel runs (sweep only)")
         if trace:
             p.add_argument("--trace", help="input trace.csv to process")
         if dump:
@@ -594,6 +593,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="run each policy in run.policies, compare")
     common(p_sweep, trace=False, dump=True)
+    p_sweep.add_argument("--jobs", type=int, default=1, help="parallel runs")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_ident = sub.add_parser("identify", help="replay the estimator over a trace")

@@ -19,37 +19,13 @@ import numpy as np
 
 from . import rls
 from .ecm import CellParams, CellState, step_exact, terminal_voltage
-from .flyback import SCHEDULES, ConverterParams, SwitchPlan, charge_table
-
-
-@dataclass(frozen=True)
-class Candidate:
-    """One auxiliary switch schedule: stage-I and stage-II enables for the
-    second- and third-ranked cells (the target always conducts)."""
-
-    c11: bool
-    c21: bool
-    c12: bool
-    c22: bool
-
-    def bits(self) -> str:
-        return f"{self.c11:d}{self.c21:d}{self.c12:d}{self.c22:d}"
-
-
-def enumerate_candidates() -> list[Candidate]:
-    """All 16 schedules in lexicographic (c11, c21, c12, c22) order, off
-    before on; the first entry is the all-off schedule."""
-    return [Candidate(*flags) for flags in SCHEDULES]
-
-
-CANDIDATES: tuple[Candidate, ...] = tuple(enumerate_candidates())
+from .flyback import ConverterParams, SwitchPlan, charge_table
 
 
 @dataclass(frozen=True)
 class ControllerConfig:
     gap_threshold: float = 0.02          # volts, strict max-min trigger
     prediction_source: str = "rls"       # "rls" | "plant"
-    include_charger: bool = True         # fold charger current into predictions
 
     def __post_init__(self) -> None:
         if not (self.gap_threshold > 0.0 and math.isfinite(self.gap_threshold)):
@@ -62,11 +38,10 @@ class ControllerConfig:
 
 @dataclass(frozen=True)
 class Decision:
-    """Outcome of one control step."""
+    """Outcome of one control step; balancing is active when ``plan`` is set."""
 
-    balancing_active: bool
     plan: Optional[SwitchPlan]
-    predicted_std: tuple[float, ...]   # 16 values in candidate order; empty when inactive
+    predicted_std: tuple[float, ...]   # 16 values in schedule order; empty when inactive
     ranking: tuple[int, ...]
 
 
@@ -93,19 +68,14 @@ def std(values: Sequence[float]) -> float:
     return math.sqrt(sum((v - mean) ** 2 for v in values) / n)
 
 
-def plan_from_candidate(candidate: Candidate, ranking: Sequence[int]) -> SwitchPlan:
-    """Bind a schedule to concrete cells: ranks 0/1/2 of the current ranking."""
-    return SwitchPlan(*ranking[:3], candidate.c11, candidate.c21, candidate.c12, candidate.c22)
-
-
 def _cycle_currents(
     ranking: Sequence[int],
     conv: ConverterParams,
     voltages: Sequence[float],
     external_current: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-cell average currents (16, n) over every candidate's cycle, and
-    the cycle lengths (16,), in candidate order.
+    """Per-cell average currents (16, n) over every schedule's cycle, and
+    the cycle lengths (16,), in schedule order.
 
     The converter moves charge_delta[j] coulombs into cell j over the cycle;
     spread over the duration and added to the external (charger) current that
@@ -177,30 +147,27 @@ def select_plan(
 ) -> Decision:
     """Evaluate the trigger and, when active, pick the argmin schedule.
 
-    Ties go to the earliest candidate in enumeration order, so equal
-    predictions select the all-off schedule.
+    Ties go to the lowest schedule index, so equal predictions select the
+    all-off schedule 0.
     """
     ranking = rank_cells(voltages)
     if not should_balance(voltages, cfg):
-        return Decision(False, None, (), ranking)
+        return Decision(None, (), ranking)
 
-    i_ext = external_current if cfg.include_charger else 0.0
     if cfg.prediction_source == "plant":
         if plant is None:
             raise ValueError("prediction_source 'plant' requires the plant models")
-        stds = predict_stds_plant(ranking, plant, i_ext, conv, voltages)
+        stds = predict_stds_plant(ranking, plant, external_current, conv, voltages)
     else:
         if estimators is None or charge_accumulators is None or capacities is None:
             raise ValueError(
                 "prediction_source 'rls' requires estimators, accumulators and capacities"
             )
         stds = predict_stds(
-            ranking, estimators, charge_accumulators, capacities, i_ext, conv, voltages
+            ranking, estimators, charge_accumulators, capacities, external_current, conv, voltages
         )
 
     # A strict `<` scan from the all-off schedule: a NaN never wins, and a
     # NaN first score keeps the all-off schedule.
     best = 0 if math.isnan(stds[0]) else int(np.nanargmin(stds))
-    return Decision(
-        True, plan_from_candidate(CANDIDATES[best], ranking), tuple(stds.tolist()), ranking
-    )
+    return Decision(SwitchPlan(*ranking[:3], best), tuple(stds.tolist()), ranking)

@@ -17,18 +17,23 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 # Grid used for the construction-time monotonicity check of the OCV curve.
 OCV_GRID_POINTS = 1000
+_OCV_GRID = np.arange(OCV_GRID_POINTS) / (OCV_GRID_POINTS - 1)
 
 
-def ocv_curve(coeffs: Sequence[float], exponent: float, soc: float) -> float:
+def ocv_curve(coeffs: Sequence[float], exponent: float, soc):
     """Raw open-circuit voltage curve a0 + a1*s + a2*s^2 + a3*s^3 + a4*e^(-b*s).
 
-    Pure evaluation, no domain or shape checks; CellParams enforces the
-    monotone-rising shape at construction.
+    ``soc`` is a float or a numpy array.  Pure evaluation, no domain or
+    shape checks; CellParams enforces the monotone-rising shape at
+    construction.
     """
     a0, a1, a2, a3, a4 = coeffs
-    return a0 + soc * (a1 + soc * (a2 + soc * a3)) + a4 * math.exp(-exponent * soc)
+    exp = np.exp if isinstance(soc, np.ndarray) else math.exp
+    return a0 + soc * (a1 + soc * (a2 + soc * a3)) + a4 * exp(-exponent * soc)
 
 
 @dataclass(frozen=True)
@@ -80,16 +85,13 @@ class CellParams:
         # The whole controller stack assumes a monotone SOC -> OCV map
         # (rankings, the gap trigger, the summary metrics), so a curve that
         # dips anywhere is rejected up front rather than failing silently.
-        prev = ocv_curve(self.ocv_coeffs, self.ocv_exponent, 0.0)
-        for k in range(1, OCV_GRID_POINTS):
-            s = k / (OCV_GRID_POINTS - 1)
-            cur = ocv_curve(self.ocv_coeffs, self.ocv_exponent, s)
-            if not cur > prev:
-                raise ValueError(
-                    f"OCV curve must be strictly increasing on [0, 1]; "
-                    f"violated near soc={s:.4f}"
-                )
-            prev = cur
+        # A NaN step fails `> 0` too.
+        falls = ~(np.diff(ocv_curve(self.ocv_coeffs, self.ocv_exponent, _OCV_GRID)) > 0.0)
+        if falls.any():
+            raise ValueError(
+                f"OCV curve must be strictly increasing on [0, 1]; "
+                f"violated near soc={_OCV_GRID[falls.argmax() + 1]:.4f}"
+            )
 
 
 @dataclass(frozen=True)

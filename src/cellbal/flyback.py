@@ -37,9 +37,11 @@ from typing import Sequence
 
 import numpy as np
 
-# The 16 auxiliary schedules as (c11, c21, c12, c22), off before on.  Each
-# switched cell of a schedule (target, second, third) conducts for a number
-# of half on-times and switches off after one (stage I only) or two.
+# The 16 auxiliary schedules as (c11, c21, c12, c22), off before on, so
+# schedule k's flags are k's bits MSB first.  A plan names its schedule by
+# that index k.  Each switched cell of a schedule (target, second, third)
+# conducts for a number of half on-times and switches off after one (stage I
+# only) or two.
 SCHEDULES: tuple[tuple[bool, ...], ...] = tuple(product((False, True), repeat=4))
 _WINDOWS = np.array([(2, c11 + c12, c21 + c22) for c11, c21, c12, c22 in SCHEDULES], dtype=float)
 _OFF_AT = np.array(
@@ -79,17 +81,14 @@ class SwitchPlan:
     """One cycle's switch schedule.
 
     ``target_cell`` conducts through both on-time windows.  ``second_cell``
-    and ``third_cell`` conduct in window I/II according to the four flags:
-    c11/c21 gate the second/third cell in stage I, c12/c22 in stage II.
+    and ``third_cell`` conduct in window I/II as ``SCHEDULES[schedule]``
+    says: c11/c21 gate the second/third cell in stage I, c12/c22 in stage II.
     """
 
     target_cell: int
     second_cell: int
     third_cell: int
-    c11: bool = False
-    c21: bool = False
-    c12: bool = False
-    c22: bool = False
+    schedule: int = 0
 
     def __post_init__(self) -> None:
         cells = (self.target_cell, self.second_cell, self.third_cell)
@@ -97,6 +96,8 @@ class SwitchPlan:
             raise ValueError(f"plan cells must be distinct, got {cells}")
         if min(cells) < 0:
             raise ValueError(f"plan cells must be non-negative, got {cells}")
+        if not 0 <= self.schedule < len(SCHEDULES):
+            raise ValueError(f"schedule must index SCHEDULES (0..15), got {self.schedule!r}")
 
 
 @dataclass(frozen=True)
@@ -266,10 +267,11 @@ def simulate_cycle(
     half = 0.5 * t_on
     fw_slope = ratio * v_stack / l_m  # A/s shed by any freewheeling winding
 
+    c11, c21, c12, c22 = SCHEDULES[plan.schedule]
     switched = (
         (plan.target_cell, True, True),
-        (plan.second_cell, plan.c11, plan.c12),
-        (plan.third_cell, plan.c21, plan.c22),
+        (plan.second_cell, c11, c12),
+        (plan.third_cell, c21, c22),
     )
     active = [
         (cell, _activity_pieces(cell_voltages[cell] / l_m, on1, on2, half, fw_slope))
@@ -389,5 +391,4 @@ def cycle_charge_deltas(
     cycle duration, as the simulation applies them."""
     cells = (plan.target_cell, plan.second_cell, plan.third_cell)
     deltas, t3 = charge_table(conv, cell_voltages, cells)
-    k = SCHEDULES.index((plan.c11, plan.c21, plan.c12, plan.c22))
-    return tuple(deltas[k].tolist()), float(t3[k])
+    return tuple(deltas[plan.schedule].tolist()), float(t3[plan.schedule])

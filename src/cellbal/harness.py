@@ -112,12 +112,7 @@ def cc_cv_current(
 
 def greedy_baseline_plan(voltages: Sequence[float]) -> SwitchPlan:
     """Reference policy: address only the highest cell, no auxiliary windows."""
-    ranking = rank_cells(voltages)
-    return SwitchPlan(
-        target_cell=ranking[0],
-        second_cell=ranking[1],
-        third_cell=ranking[2],
-    )
+    return SwitchPlan(*rank_cells(voltages)[:3])
 
 
 @dataclass
@@ -186,7 +181,8 @@ class ScenarioConfig:
 class TraceRecord:
     """One recorded instant, captured at the start of a step before the
     plant moves.  ``current`` is each cell's net average current over the
-    step that follows; ``candidate_bits`` is the chosen schedule or '----'."""
+    step that follows; ``candidate_bits`` is the chosen schedule's index in
+    binary, or '----'."""
 
     time: float
     cycle: int
@@ -354,18 +350,17 @@ class Simulation:
     def _decide(self, v_meas: Sequence[float], i_ext: float) -> Decision:
         cfg = self.cfg
         if cfg.policy == "none":
-            return Decision(False, None, (), rank_cells(v_meas))
+            return Decision(None, (), rank_cells(v_meas))
         faulty = [j for j, v in enumerate(v_meas) if not v > 0.0]
         if faulty:  # a sensor fault, not a cell state: nothing is scored or run on it
             self.events += [
                 (self.time, "measurement_fault", f"cell {j} read {v_meas[j]:.4f} V") for j in faulty
             ]
-            return Decision(False, None, (), rank_cells(v_meas))
+            return Decision(None, (), rank_cells(v_meas))
         if cfg.policy == "greedy":
             if not should_balance(v_meas, cfg.controller):
-                return Decision(False, None, (), rank_cells(v_meas))
-            plan = greedy_baseline_plan(v_meas)
-            return Decision(True, plan, (), rank_cells(v_meas))
+                return Decision(None, (), rank_cells(v_meas))
+            return Decision(greedy_baseline_plan(v_meas), (), rank_cells(v_meas))
         plant = None
         if cfg.controller.prediction_source == "plant":
             plant = list(zip(self.params, self.states))
@@ -440,20 +435,20 @@ class Simulation:
         charger_finished = (
             cfg.charger.mode == "cc_cv" and self.charger_state.phase == "done"
         )
-        if not decision.balancing_active and charger_finished:
+        plan = decision.plan
+        if plan is None and charger_finished:
             self._finish()
             return None
 
         # dt is the amount the clock moves, so time[k+1] - time[k] == dt exactly
         end = self.time
-        if decision.balancing_active:
-            deltas, t3 = cycle_charge_deltas(cfg.converter, v_true, decision.plan)
+        if plan is not None:
+            deltas, t3 = cycle_charge_deltas(cfg.converter, v_true, plan)
             end = self.time + t3
         dt = end - self.time
         if dt > 0.0:
             currents = [i_ext - d / dt for d in deltas]
-            plan = decision.plan
-            bits = "".join("01"[b] for b in (plan.c11, plan.c21, plan.c12, plan.c22))
+            bits = format(plan.schedule, "04b")
         else:
             # Idle interval, or a cycle too short to move the clock.
             end = self.time + min(cfg.idle_dt, cfg.max_time - self.time)

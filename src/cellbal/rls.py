@@ -8,8 +8,10 @@ where ``i`` is the cell current (positive = discharge), ``q`` the cumulative
 transferred charge since the run started and ``C`` the nominal capacity.
 theta1 absorbs the lumped resistive drop, theta2 the local OCV slope versus
 discharged fraction, theta3 the operating-point offset.  The estimator is
-plain exponentially-weighted RLS; the covariance is re-symmetrized after
-every update to stop round-off drift.
+exponentially-weighted RLS whose forgetting never lifts trace(P) above its
+initial value: without excitation the 1/lambda inflation would otherwise
+grow P without bound (covariance windup).  The covariance is re-symmetrized
+after every update to stop round-off drift.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ class RlsEstimator:
     theta: np.ndarray        # shape (3,)
     covariance: np.ndarray   # shape (3, 3), symmetric positive definite
     forgetting_factor: float
+    trace_limit: float       # trace of the initial covariance; forgetting stays below it
     sample_count: int = 0
     innovation: float = 0.0  # y - x . theta before the update that made this estimator
 
@@ -45,7 +48,7 @@ def init(theta0, p0_scale: float, forgetting_factor: float = 0.995) -> RlsEstima
         theta=theta,
         covariance=p0_scale * np.eye(3),
         forgetting_factor=forgetting_factor,
-        sample_count=0,
+        trace_limit=3.0 * p0_scale,
     )
 
 
@@ -86,12 +89,16 @@ def update(est: RlsEstimator, x, y: float) -> RlsEstimator:
     innovation = y - float(x @ est.theta)
     theta = est.theta + gain * innovation
     # x' P == (P x)' because P is kept symmetric.
-    cov = (est.covariance - np.outer(gain, px)) / lam
+    cov = est.covariance - np.outer(gain, px)
+    # forget only while trace(P / lambda) stays within the limit: no windup
+    if cov[0, 0] + cov[1, 1] + cov[2, 2] <= lam * est.trace_limit:
+        cov = cov / lam
     cov = 0.5 * (cov + cov.T)
     return RlsEstimator(
         theta=theta,
         covariance=cov,
         forgetting_factor=lam,
+        trace_limit=est.trace_limit,
         sample_count=est.sample_count + 1,
         innovation=innovation,
     )

@@ -9,17 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from cellbal import (
-    CANDIDATES,
-    CellParams,
-    CellState,
-    ConverterParams,
-    SwitchPlan,
-    plan_from_candidate,
-    rls,
-    simulate_cycle,
-    std,
-)
+from cellbal import CellParams, CellState, ConverterParams, SwitchPlan, rls, std
+from cellbal.flyback import SCHEDULES, simulate_cycle
 
 # np.trapezoid is new in numpy 2.0, which deprecates np.trapz; pyproject.toml
 # allows numpy 1.24, so fall back to trapz there.
@@ -54,14 +45,15 @@ def fine_cycle_deltas(
     half = t_on / 2.0
     h = t_on / substeps
 
+    c11, c21, c12, c22 = SCHEDULES[plan.schedule]
     cond1 = np.zeros(n, dtype=bool)
     cond1[plan.target_cell] = True
-    cond1[plan.second_cell] = plan.c11
-    cond1[plan.third_cell] = plan.c21
+    cond1[plan.second_cell] = c11
+    cond1[plan.third_cell] = c21
     cond2 = np.zeros(n, dtype=bool)
     cond2[plan.target_cell] = True
-    cond2[plan.second_cell] = plan.c12
-    cond2[plan.third_cell] = plan.c22
+    cond2[plan.second_cell] = c12
+    cond2[plan.third_cell] = c22
 
     deltas = np.zeros(n)
 
@@ -126,7 +118,7 @@ def fine_cycle_stds(
 ):
     """Predicted end-of-cycle voltage std for all 16 candidates, by dense
     simulation of the converter waveforms and convolution-quadrature of the
-    RC branches.  Returns a (16,) array ordered like CANDIDATES.
+    RC branches.  Returns a (16,) array ordered like SCHEDULES.
 
     Each candidate is evaluated at its own cycle end; the shared grid trick
     works because every balancing current is identically zero past its own
@@ -143,7 +135,7 @@ def fine_cycle_stds(
         raise ValueError("degenerate cycle has no candidate ranking to check")
     half = t_on / 2.0
 
-    bits = np.array([[c.c11, c.c21, c.c12, c.c22] for c in CANDIDATES], dtype=bool)
+    bits = np.array(SCHEDULES, dtype=bool)
     cond1 = np.zeros((16, n), dtype=bool)
     cond1[:, target] = True
     cond1[:, second] = bits[:, 0]
@@ -233,8 +225,8 @@ def reference_stds(
     """Predicted end-of-cycle spread of each candidate, one candidate at a
     time: the full waveform cycle, then one ``rls.predict`` per cell."""
     out = []
-    for candidate in CANDIDATES:
-        res = simulate_cycle(conv, voltages, plan_from_candidate(candidate, ranking))
+    for k in range(len(SCHEDULES)):
+        res = simulate_cycle(conv, voltages, SwitchPlan(*ranking[:3], k))
         duration = res.timing.t3
         predicted = []
         for j, est in enumerate(estimators):

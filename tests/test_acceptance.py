@@ -12,8 +12,6 @@ import numpy as np
 import pytest
 
 from cellbal import (
-    CANDIDATES,
-    Candidate,
     CellState,
     ControllerConfig,
     ConverterParams,
@@ -21,10 +19,10 @@ from cellbal import (
     representative_cell_params,
     rls,
     run_scenario,
-    simulate_cycle,
     step_exact,
 )
 import cellbal.harness as harness
+from cellbal.flyback import SCHEDULES, simulate_cycle
 from cellbal.cli import read_trace, replay_identification, write_trace
 from conftest import make_stock_scenario, run_cli
 from oracles import euler_step, fine_cycle_deltas, fine_cycle_stds, integrate_pwl_between
@@ -79,7 +77,7 @@ def plant_capture():
 
     def spy(voltages, estimators, accumulators, external_current, conv, cfg, **kw):
         d = real(voltages, estimators, accumulators, external_current, conv, cfg, **kw)
-        if d.balancing_active:
+        if d.plan is not None:
             captured.append((tuple(voltages), tuple(kw["plant"]), external_current, d))
         return d
 
@@ -164,10 +162,7 @@ def cycles():
     for k in range(1000):
         voltages = tuple(rng.uniform(3.0, 4.2, size=4))
         cells = rng.permutation(4)[:3]
-        c = CANDIDATES[k % 16]
-        plan = SwitchPlan(
-            int(cells[0]), int(cells[1]), int(cells[2]), c.c11, c.c21, c.c12, c.c22
-        )
+        plan = SwitchPlan(int(cells[0]), int(cells[1]), int(cells[2]), k % 16)
         out.append((voltages, plan, simulate_cycle(STOCK_CONV, voltages, plan)))
     return out
 
@@ -179,15 +174,16 @@ class TestConverterConservation:
 
     @staticmethod
     def _conducting_sets(plan):
+        c11, c21, c12, c22 = SCHEDULES[plan.schedule]
         cond1 = {plan.target_cell}
         cond2 = {plan.target_cell}
-        if plan.c11:
+        if c11:
             cond1.add(plan.second_cell)
-        if plan.c21:
+        if c21:
             cond1.add(plan.third_cell)
-        if plan.c12:
+        if c12:
             cond2.add(plan.second_cell)
-        if plan.c22:
+        if c22:
             cond2.add(plan.third_cell)
         return cond1, cond2
 
@@ -298,9 +294,7 @@ class TestScheduleOptimality:
         worst = 0.0
         for voltages, plant, i_ext, d in captured:
             stds_o = fine_cycle_stds(self.CONV, voltages, plant, i_ext, d.ranking)
-            idx = int(
-                Candidate(d.plan.c11, d.plan.c21, d.plan.c12, d.plan.c22).bits(), 2
-            )
+            idx = d.plan.schedule
             worst = max(worst, float(stds_o[idx] - stds_o.min()))
             assert d.predicted_std[idx] == min(d.predicted_std)
         assert worst <= 1e-11

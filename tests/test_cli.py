@@ -31,6 +31,7 @@ from cellbal.cli import (
     build_scenario,
     effective_config,
     load_config,
+    main,
     read_trace,
     replay_identification,
     strip_json_comments,
@@ -444,6 +445,13 @@ class TestSweepCommand:
         a = (tmp_path / "s1" / "comparison.csv").read_bytes()
         b = (tmp_path / "s2" / "comparison.csv").read_bytes()
         assert a == b
+
+    @pytest.mark.parametrize("command", ["simulate", "identify", "export-plots"])
+    def test_jobs_is_a_sweep_option(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
     def test_empty_policy_list_exits_2(self, tmp_path):
         r = cli("sweep", "--set", "run.policies=[]", cwd=tmp_path)

@@ -1,4 +1,4 @@
-"""Schedule selection: candidate enumeration, ranking, trigger, predictions,
+"""Schedule selection: the schedule index, ranking, trigger, predictions,
 and a frozen regression vector for the first closed-loop decision."""
 
 from __future__ import annotations
@@ -10,14 +10,10 @@ from scipy.optimize import brentq
 import cellbal.controller as controller
 import cellbal.harness as harness
 from cellbal import (
-    CANDIDATES,
-    Candidate,
     CellState,
     ControllerConfig,
     ConverterParams,
-    enumerate_candidates,
     ocv,
-    plan_from_candidate,
     predict_stds,
     predict_stds_plant,
     rank_cells,
@@ -27,6 +23,7 @@ from cellbal import (
     should_balance,
     std,
 )
+from cellbal.flyback import SCHEDULES, SwitchPlan
 from conftest import make_stock_scenario
 from oracles import reference_pick, reference_stds
 
@@ -34,7 +31,7 @@ CONV = ConverterParams(magnetizing_inductance=0.01)
 CFG = ControllerConfig()
 
 # First active decision of the stock four-cell run, all 16 predicted spreads
-# in candidate order.  Regenerate only for an intentional physics change.
+# in schedule order.  Regenerate only for an intentional physics change.
 FIRST_DECISION_STDS = (
     0.026749185799739793,
     0.028332892531455992,
@@ -57,10 +54,6 @@ FIRST_DECISION_STDS = (
 
 def constant_estimators(values):
     return [rls.init((0.0, 0.0, float(v)), 1e6, 1.0) for v in values]
-
-
-def candidate_index(plan) -> int:
-    return int(Candidate(plan.c11, plan.c21, plan.c12, plan.c22).bits(), 2)
 
 
 def random_scoring_states(count: int, seed: int):
@@ -88,24 +81,24 @@ WINDOW_SWAP_GROUPS = ((2, 8), (1, 4), (7, 13), (11, 14), (3, 6, 9, 12))
 
 
 class TestEnumerate:
-    def test_sixteen_candidates_lexicographic(self):
-        cands = enumerate_candidates()
-        assert len(cands) == 16
-        assert cands[0] == Candidate(False, False, False, False)
-        assert cands[-1] == Candidate(True, True, True, True)
-        keys = [(c.c11, c.c21, c.c12, c.c22) for c in cands]
-        assert keys == sorted(keys)
-        assert tuple(cands) == CANDIDATES
-
-    def test_bits_format(self):
-        assert CANDIDATES[0].bits() == "0000"
-        assert CANDIDATES[-1].bits() == "1111"
-        assert Candidate(True, False, True, False).bits() == "1010"
-
-    def test_index_encoding(self):
-        # candidate k encodes k in binary as c11 c21 c12 c22
-        for k, c in enumerate(CANDIDATES):
-            assert int(c.bits(), 2) == k
+    def test_index_encoding(self, monkeypatch):
+        # schedule k's flags are k's bits MSB first (c11 c21 c12 c22); a pick
+        # of k binds the top three ranked cells, and a run records format(k, "04b")
+        voltages = (3.8, 4.0, 3.85, 3.9)
+        assert len(SCHEDULES) == 16
+        for k in range(16):
+            bits = format(k, "04b")
+            assert SCHEDULES[k] == tuple(b == "1" for b in bits)
+            scores = np.ones(16)
+            scores[k] = 0.0
+            monkeypatch.setattr(controller, "predict_stds", lambda *args: scores)
+            d = select_plan(
+                voltages, constant_estimators([3.9] * 4), [0.0] * 4, 0.0, CONV, CFG,
+                capacities=[2880.0] * 4,
+            )
+            assert d.plan == SwitchPlan(1, 3, 2, k)
+            rec = harness.Simulation(make_stock_scenario("ampc")).step()
+            assert rec.candidate_bits == bits
 
 
 class TestRankCells:
@@ -164,13 +157,6 @@ class TestControllerConfig:
             ControllerConfig(prediction_source="oracle")
 
 
-class TestPlanFromCandidate:
-    def test_binds_top_three(self):
-        plan = plan_from_candidate(Candidate(True, False, False, True), (2, 0, 3, 1))
-        assert (plan.target_cell, plan.second_cell, plan.third_cell) == (2, 0, 3)
-        assert (plan.c11, plan.c21, plan.c12, plan.c22) == (True, False, False, True)
-
-
 class TestPredictions:
     VOLTAGES = (4.0, 3.9, 3.85, 3.8)
     RANKING = (0, 1, 2, 3)
@@ -184,14 +170,14 @@ class TestPredictions:
         got = predict_stds(
             self.RANKING, ests, [0.0] * 4, [2880.0] * 4, 0.0, CONV, self.VOLTAGES
         )
-        assert got.tolist() == [expect] * len(CANDIDATES)
+        assert got.tolist() == [expect] * len(SCHEDULES)
 
     def test_equal_constants_predict_zero(self):
         ests = constant_estimators([3.9] * 4)
         got = predict_stds(
             self.RANKING, ests, [0.0] * 4, [2880.0] * 4, -0.4, CONV, self.VOLTAGES
         )
-        assert got.tolist() == [0.0] * len(CANDIDATES)
+        assert got.tolist() == [0.0] * len(SCHEDULES)
 
     def test_plant_predictions_never_worsen_single_outlier(self):
         # one cell 50 mV above three equal ones: every schedule drains the
@@ -210,8 +196,8 @@ class TestPredictions:
         baseline = std(voltages)
         ranking = rank_cells(voltages)
         got = predict_stds_plant(ranking, plant, 0.0, CONV, voltages)
-        for c, value in zip(CANDIDATES, got):
-            assert value <= baseline, c
+        for k, value in enumerate(got):
+            assert value <= baseline, k
 
 
 class TestSelectPlan:
@@ -221,7 +207,6 @@ class TestSelectPlan:
             voltages, constant_estimators([4.0] * 4), [0.0] * 4, 0.0, CONV, CFG,
             capacities=[2880.0] * 4,
         )
-        assert not d.balancing_active
         assert d.plan is None
         assert d.predicted_std == ()
         assert d.ranking == rank_cells(voltages)
@@ -231,8 +216,7 @@ class TestSelectPlan:
             (4.0, 3.9, 3.85, 3.8), constant_estimators([3.9] * 4), [0.0] * 4,
             0.0, CONV, CFG, capacities=[2880.0] * 4,
         )
-        assert d.balancing_active
-        assert (d.plan.c11, d.plan.c21, d.plan.c12, d.plan.c22) == (False,) * 4
+        assert d.plan.schedule == 0
         assert d.predicted_std == (0.0,) * 16
 
     def test_chosen_plan_attains_the_minimum(self):
@@ -241,11 +225,7 @@ class TestSelectPlan:
         d = sim._decide(
             [4.0, 3.92, 3.89, 3.86], -0.4
         )
-        assert d.balancing_active
-        idx = int(
-            Candidate(d.plan.c11, d.plan.c21, d.plan.c12, d.plan.c22).bits(), 2
-        )
-        assert d.predicted_std[idx] == min(d.predicted_std)
+        assert d.predicted_std[d.plan.schedule] == min(d.predicted_std)
 
     def test_missing_inputs_rejected(self):
         with pytest.raises(ValueError, match="plant"):
@@ -280,7 +260,7 @@ class TestFirstDecisionGolden:
 
         def spy(voltages, estimators, accumulators, external_current, conv, cfg, **kw):
             d = real(voltages, estimators, accumulators, external_current, conv, cfg, **kw)
-            if d.balancing_active and not captured:
+            if d.plan is not None and not captured:
                 captured.append(d)
             return d
 
@@ -294,9 +274,7 @@ class TestFirstDecisionGolden:
     def test_first_decision_vector(self, monkeypatch):
         d = self.capture_first_active(monkeypatch)
         assert d.ranking == (0, 1, 2, 3)
-        assert (d.plan.c11, d.plan.c21, d.plan.c12, d.plan.c22) == (
-            False, False, True, False,
-        )
+        assert d.plan.schedule == 0b0010
         np.testing.assert_allclose(d.predicted_std, FIRST_DECISION_STDS, rtol=1e-9)
 
     def test_window_swap_ties_are_exact(self, monkeypatch):
@@ -322,7 +300,7 @@ class TestVectorizedScoring:
             d = select_plan(voltages, ests, accumulators, i_ext, CONV, CFG, capacities=capacities)
             ref = reference_stds(CONV, voltages, ests, accumulators, capacities, i_ext, d.ranking)
             np.testing.assert_allclose(d.predicted_std, ref, rtol=1e-12, atol=0.0)
-            k = candidate_index(d.plan)
+            k = d.plan.schedule
             assert k == reference_pick(d.predicted_std)
             # window-swapped twins tie exactly in the table but only to
             # rounding in the waveform cycle, so the reference scan needs a
@@ -351,7 +329,7 @@ class TestVectorizedScoring:
         d = select_plan(voltages, ests, accumulators, i_ext, CONV, CFG, capacities=capacities)
         ref = reference_stds(CONV, voltages, ests, accumulators, capacities, i_ext, d.ranking)
         assert np.isnan(d.predicted_std).all() and np.isnan(ref).all()
-        assert candidate_index(d.plan) == reference_pick(ref) == 0
+        assert d.plan.schedule == reference_pick(ref) == 0
 
     @pytest.mark.parametrize(
         "scores",
@@ -369,4 +347,4 @@ class TestVectorizedScoring:
             (4.0, 3.9, 3.85, 3.8), constant_estimators([3.9] * 4), [0.0] * 4, 0.0, CONV, CFG,
             capacities=[2880.0] * 4,
         )
-        assert candidate_index(d.plan) == reference_pick(scores)
+        assert d.plan.schedule == reference_pick(scores)

@@ -77,10 +77,39 @@ class TestCellParams:
         with pytest.raises(ValueError, match="v_min"):
             representative_cell_params(v_min=4.2, v_max=4.2)
 
-    def test_non_monotone_curve_rejected(self):
-        # flipping the exponential coefficient sign makes the curve dip near 0
-        with pytest.raises(ValueError, match="increasing"):
-            representative_cell_params(ocv_coeffs=(3.2, 0.8, -0.2, 0.1, 0.15))
+    @pytest.mark.parametrize(
+        "coeffs,soc",
+        [
+            # flipping the exponential coefficient sign makes the curve dip near 0
+            ((3.2, 0.8, -0.2, 0.1, 0.15), "0.0010"),
+            # a NaN curve is not increasing anywhere
+            ((3.2, 0.8, float("nan"), 0.1, -0.15), "0.0010"),
+            # the cubic falls between its turning points near 0.17 and 0.63
+            ((3.2, 0.8, -3.0, 2.5, -0.15), "0.1902"),
+        ],
+        ids=["exponential_sign_flip", "nan_coefficient", "interior_dip"],
+    )
+    def test_non_monotone_curve_rejected(self, coeffs, soc):
+        with pytest.raises(ValueError, match=f"increasing on .*; violated near soc={soc}$"):
+            representative_cell_params(ocv_coeffs=coeffs)
+
+    def test_monotonicity_check_matches_the_pointwise_loop(self):
+        # the array check accepts and rejects exactly the curves a scalar scan
+        # of the same 1000-point grid does, and names the same first fall
+        rng = np.random.default_rng(17)
+        rejected = 0
+        for _ in range(300):
+            a1, a2, a3 = rng.uniform((-0.5, -2.0, -1.0), (1.5, 1.0, 1.5))
+            coeffs = (3.2, a1, a2, a3, rng.uniform(-0.3, 0.1))
+            grid = [ocv_curve(coeffs, 20.0, k / 999) for k in range(1000)]
+            fall = next((k for k in range(1, 1000) if not grid[k] > grid[k - 1]), None)
+            if fall is None:
+                representative_cell_params(ocv_coeffs=coeffs)
+            else:
+                rejected += 1
+                with pytest.raises(ValueError, match=f"soc={fall / 999:.4f}$"):
+                    representative_cell_params(ocv_coeffs=coeffs)
+        assert 30 <= rejected <= 270
 
     def test_coefficient_count(self):
         with pytest.raises(ValueError, match="5"):

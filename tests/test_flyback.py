@@ -8,22 +8,17 @@ import math
 import numpy as np
 import pytest
 
-from cellbal import (
-    CANDIDATES,
-    ConverterParams,
+from cellbal import ConverterParams, SwitchPlan, compute_t_on, cycle_charge_deltas
+from cellbal.flyback import (
+    SCHEDULES,
     CycleTiming,
     PiecewiseLinear,
-    SwitchPlan,
-    compute_t_on,
-    cycle_charge_deltas,
+    charge_table,
     simulate_cycle,
 )
-from cellbal.flyback import charge_table
 from oracles import fine_cycle_deltas, integrate_pwl_between
 
 SMALL = ConverterParams(magnetizing_inductance=1e-4, peak_current=2.0)
-# (c11, c21, c12, c22) of each candidate, in candidate order
-CANDIDATE_FLAGS = [(c.c11, c.c21, c.c12, c.c22) for c in CANDIDATES]
 
 
 def random_cycles(count: int, seed: int):
@@ -33,8 +28,9 @@ def random_cycles(count: int, seed: int):
     for k in range(count):
         voltages = tuple(rng.uniform(3.0, 4.2, size=4))
         cells = rng.permutation(4)[:3]
-        flags = [(k >> b) & 1 == 1 for b in range(4)]
-        plan = SwitchPlan(int(cells[0]), int(cells[1]), int(cells[2]), *flags)
+        # c11 c21 c12 c22 = bits 0..3 of k, i.e. schedule k % 16 bit-reversed
+        schedule = int(format(k % 16, "04b")[::-1], 2)
+        plan = SwitchPlan(int(cells[0]), int(cells[1]), int(cells[2]), schedule)
         out.append((voltages, plan))
     return out
 
@@ -66,6 +62,11 @@ class TestValidation:
     def test_plan_cells_must_be_non_negative(self):
         with pytest.raises(ValueError, match="non-negative"):
             SwitchPlan(0, -1, 2)
+
+    @pytest.mark.parametrize("schedule", [-1, 16])
+    def test_plan_schedule_must_index_schedules(self, schedule):
+        with pytest.raises(ValueError, match="schedule"):
+            SwitchPlan(0, 1, 2, schedule)
 
     def test_timing_ordering(self):
         with pytest.raises(ValueError, match="ordered"):
@@ -148,7 +149,7 @@ class TestSimulateCycle:
 
     def test_symmetry_between_equal_helpers(self):
         # equal voltages and mirrored flags: helpers share one waveform shape
-        res = simulate_cycle(SMALL, (3.9, 3.7, 3.7, 3.6), SwitchPlan(0, 1, 2, c11=True, c21=True))
+        res = simulate_cycle(SMALL, (3.9, 3.7, 3.7, 3.6), SwitchPlan(0, 1, 2, 0b1100))
         assert res.charge_delta[1] == pytest.approx(res.charge_delta[2], rel=1e-12)
         assert res.conducted_charge[1] == pytest.approx(res.conducted_charge[2], rel=1e-12)
 
@@ -161,7 +162,7 @@ class TestSimulateCycle:
             simulate_cycle(SMALL, (4.0, 4.0, 4.0, 4.0), SwitchPlan(0, 1, 5))
 
     def test_secondary_blocked_during_stage_one(self):
-        res = simulate_cycle(SMALL, (4.1, 3.9, 3.8, 3.7), SwitchPlan(0, 1, 2, c11=True))
+        res = simulate_cycle(SMALL, (4.1, 3.9, 3.8, 3.7), SwitchPlan(0, 1, 2, 0b1000))
         assert res.secondary.value(1e-5) == 0.0
         # helper released at t1 feeds the stack immediately after
         assert res.secondary.value(res.timing.t1, side="right") > 0.0
@@ -172,15 +173,16 @@ class TestCycleInvariants:
 
     @staticmethod
     def _conducting_sets(plan: SwitchPlan):
+        c11, c21, c12, c22 = SCHEDULES[plan.schedule]
         cond1 = {plan.target_cell}
         cond2 = {plan.target_cell}
-        if plan.c11:
+        if c11:
             cond1.add(plan.second_cell)
-        if plan.c21:
+        if c21:
             cond1.add(plan.third_cell)
-        if plan.c12:
+        if c12:
             cond2.add(plan.second_cell)
-        if plan.c22:
+        if c22:
             cond2.add(plan.third_cell)
         return cond1, cond2
 
@@ -280,8 +282,8 @@ class TestCycleInvariants:
             cells = tuple(int(c) for c in rng.permutation(n)[:3])
             deltas, t3 = charge_table(conv, voltages, cells)
             assert deltas.shape == (16, n) and t3.shape == (16,)
-            for k, flags in enumerate(CANDIDATE_FLAGS):
-                res = simulate_cycle(conv, voltages, SwitchPlan(*cells, *flags))
+            for k in range(len(SCHEDULES)):
+                res = simulate_cycle(conv, voltages, SwitchPlan(*cells, k))
                 assert t3[k] == res.timing.t3, (trial, k)
                 ref = np.array(res.charge_delta)
                 scale = np.max(np.abs(ref))

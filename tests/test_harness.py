@@ -130,7 +130,7 @@ class TestGreedyBaseline:
         plan = greedy_baseline_plan((3.9, 4.1, 4.0, 4.05))
         assert plan.target_cell == 1
         assert (plan.second_cell, plan.third_cell) == (3, 2)
-        assert (plan.c11, plan.c21, plan.c12, plan.c22) == (False,) * 4
+        assert plan.schedule == 0
 
 
 class TestScenarioConfig:
@@ -316,8 +316,7 @@ class TestRunScenario:
             if rec.time > 1.0 and rec.candidate_bits != INACTIVE_BITS:
                 break
         ranking = sorted(range(4), key=lambda j: (-rec.voltage[j], j))
-        flags = [b == "1" for b in rec.candidate_bits]
-        plan = SwitchPlan(*ranking[:3], *flags)
+        plan = SwitchPlan(*ranking[:3], int(rec.candidate_bits, 2))
         deltas, t3 = cycle_charge_deltas(sim.cfg.converter, rec.voltage, plan)
         dt = (rec.time + t3) - rec.time
         assert rec.current == tuple(rec.charger_current - d / dt for d in deltas)

@@ -177,6 +177,17 @@ class TestConvergence:
         assert np.max(np.abs(finals[0] - finals[1])) < 1e-6
         assert np.max(np.abs(finals[0] - THETA_STAR)) < 1e-6
 
+    def test_no_covariance_windup_without_excitation(self):
+        # a constant regressor excites one direction only; unbounded 1/lambda
+        # forgetting would inflate P along the other two past 1e49
+        p0 = 1e6
+        est = rls.init(np.zeros(3), p0, 0.995)
+        x = np.array([0.0, 0.1, 1.0])
+        for _ in range(20_000):
+            est = rls.update(est, x, 3.7)
+        assert np.trace(est.covariance) <= 3.0 * p0
+        assert np.linalg.eigvalsh(est.covariance)[0] > 0.0
+
     @pytest.mark.parametrize("lam", [0.95, 0.99, 1.0])
     def test_covariance_stays_spd(self, lam):
         # light version of the long-haul check in the acceptance suite
