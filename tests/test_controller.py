@@ -81,24 +81,30 @@ WINDOW_SWAP_GROUPS = ((2, 8), (1, 4), (7, 13), (11, 14), (3, 6, 9, 12))
 
 
 class TestEnumerate:
-    def test_index_encoding(self, monkeypatch):
-        # schedule k's flags are k's bits MSB first (c11 c21 c12 c22); a pick
-        # of k binds the top three ranked cells, and a run records format(k, "04b")
-        voltages = (3.8, 4.0, 3.85, 3.9)
+    def test_sixteen_candidates_lexicographic(self):
         assert len(SCHEDULES) == 16
+        assert SCHEDULES[0] == (False, False, False, False)
+        assert SCHEDULES[-1] == (True, True, True, True)
+        assert list(SCHEDULES) == sorted(SCHEDULES)
+
+    def test_bits_format(self, monkeypatch):
+        # a run records the picked schedule's index as format(k, "04b")
+        recorded = {}
         for k in range(16):
-            bits = format(k, "04b")
-            assert SCHEDULES[k] == tuple(b == "1" for b in bits)
             scores = np.ones(16)
             scores[k] = 0.0
             monkeypatch.setattr(controller, "predict_stds", lambda *args: scores)
-            d = select_plan(
-                voltages, constant_estimators([3.9] * 4), [0.0] * 4, 0.0, CONV, CFG,
-                capacities=[2880.0] * 4,
-            )
-            assert d.plan == SwitchPlan(1, 3, 2, k)
             rec = harness.Simulation(make_stock_scenario("ampc")).step()
-            assert rec.candidate_bits == bits
+            recorded[k] = rec.candidate_bits
+        assert recorded[0] == "0000"
+        assert recorded[15] == "1111"
+        assert recorded[0b1010] == "1010"
+        assert recorded == {k: format(k, "04b") for k in range(16)}
+
+    def test_index_encoding(self):
+        # schedule k's flags are k's bits MSB first: c11 c21 c12 c22
+        for k, flags in enumerate(SCHEDULES):
+            assert flags == tuple(b == "1" for b in format(k, "04b"))
 
 
 class TestRankCells:
@@ -155,6 +161,22 @@ class TestControllerConfig:
     def test_bad_source(self):
         with pytest.raises(ValueError, match="prediction_source"):
             ControllerConfig(prediction_source="oracle")
+
+
+class TestPlanFromCandidate:
+    def test_binds_top_three(self, monkeypatch):
+        # the picked schedule binds ranks 0/1/2 as target/second/third cell
+        voltages = (3.95, 3.8, 4.0, 3.85)
+        scores = np.ones(16)
+        scores[0b1001] = 0.0
+        monkeypatch.setattr(controller, "predict_stds", lambda *args: scores)
+        d = select_plan(
+            voltages, constant_estimators([3.9] * 4), [0.0] * 4, 0.0, CONV, CFG,
+            capacities=[2880.0] * 4,
+        )
+        assert d.ranking == (2, 0, 3, 1)
+        assert d.plan == SwitchPlan(2, 0, 3, 0b1001)
+        assert SCHEDULES[d.plan.schedule] == (True, False, False, True)
 
 
 class TestPredictions:
