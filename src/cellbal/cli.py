@@ -22,6 +22,7 @@ import copy
 import csv
 import dataclasses
 import json
+import math
 import sys
 import typing
 from datetime import datetime, timezone
@@ -328,7 +329,8 @@ def write_trace(path: str | Path, trace: Sequence[TraceRecord], n_cells: int) ->
 
 
 def read_trace(path: str | Path) -> list[TraceRecord]:
-    """The rows of a trace.csv, as the TraceRecords that were written."""
+    """The rows of a trace.csv, as the TraceRecords that were written; every
+    number must be finite."""
     p = Path(path)
     if not p.is_file():
         raise TraceFormatError(f"trace file not found: {p}")
@@ -354,7 +356,7 @@ def read_trace(path: str | Path) -> list[TraceRecord]:
             try:
                 # per cell: soc, v, i, theta1, theta2, theta3
                 cells = list(map(float, row[2:-3]))
-                trace.append(TraceRecord(
+                rec = TraceRecord(
                     time=float(row[0]),
                     cycle=int(row[1]),
                     soc=tuple(cells[0::6]),
@@ -364,9 +366,17 @@ def read_trace(path: str | Path) -> list[TraceRecord]:
                     candidate_bits=row[-3],
                     voltage_std=float(row[-2]),
                     charger_current=float(row[-1]),
-                ))
+                )
             except ValueError as e:
                 raise TraceFormatError(f"{p}: line {line_no}: {e}") from None
+            numbers = (rec.time, rec.voltage_std, rec.charger_current, *cells)
+            if not all(map(math.isfinite, numbers)):
+                name, text = next(
+                    (name, text) for name, text in zip(header, row)
+                    if name not in ("cycle", "candidate_bits") and not math.isfinite(float(text))
+                )
+                raise TraceFormatError(f"{p}: line {line_no}: {name} is {text!r}, not finite")
+            trace.append(rec)
     return trace
 
 
@@ -489,7 +499,7 @@ def replay_identification(
             raise ConfigError(
                 f"trace skips from cycle {a.cycle} to {b.cycle}; identify needs run.record_every=1"
             )
-    estimators = rls.initial_estimators(
+    est = rls.initial_estimators(
         cells, scenario.warm_start, scenario.initial_covariance, scenario.forgetting_factor
     )
     capacities = [p.capacity_coulombs for p in cells]
@@ -502,10 +512,10 @@ def replay_identification(
             charges = [q + i * dt for q, i in zip(charges, currents)]
         else:
             currents = [rec.charger_current] * len(cells)
-        estimators = rls.identification_step(estimators, rec.voltage, currents, charges, capacities)
+        est = rls.update(est, rls.build_regressor(currents, charges, capacities), rec.voltage)
         rows += [
-            (rec.time, j + 1, *est.theta.tolist(), est.innovation)
-            for j, est in enumerate(estimators)
+            (rec.time, j + 1, *theta, e)
+            for j, (theta, e) in enumerate(zip(est.theta.tolist(), est.innovation.tolist()))
         ]
     return rows
 

@@ -5,8 +5,8 @@ cells, maps each of the 16 possible auxiliary switch schedules onto the top
 three, predicts every cell's voltage at the end of the resulting cycle, and
 picks the schedule whose predicted voltages have the smallest population
 standard deviation.  Predictions come either from the per-cell identified
-linear models or, for verification against ground truth, from the true cell
-models themselves.
+linear models, through ``rls.predict``, or, for verification against ground
+truth, from the true cell models themselves.
 """
 
 from __future__ import annotations
@@ -88,7 +88,7 @@ def _cycle_currents(
 
 def predict_stds(
     ranking: Sequence[int],
-    estimators: Sequence[rls.RlsEstimator],
+    estimator: rls.RlsEstimator,
     charge_accumulators: Sequence[float],
     capacities: Sequence[float],
     external_current: float,
@@ -96,18 +96,14 @@ def predict_stds(
     voltages: Sequence[float],
 ) -> np.ndarray:
     """Predicted end-of-cycle voltage spread of every candidate, using the
-    identified models.
+    identified models of the stacked estimator.
 
-    Each cell's regressor [i, q/C, 1] takes its cycle-average current and
-    its charge accumulator advanced by that current over the cycle.
+    Each cell's regressor takes its cycle-average current and its charge
+    accumulator advanced by that current over the cycle.
     """
-    capacities = np.asarray(capacities, dtype=float)
-    if not np.all(capacities > 0.0):
-        raise ValueError(f"capacities must be positive, got {capacities.tolist()!r}")
     currents, duration = _cycle_currents(ranking, conv, voltages, external_current)
     q_next = np.asarray(charge_accumulators, dtype=float) + currents * duration[:, None]
-    theta = np.array([est.theta for est in estimators])
-    predicted = currents * theta[:, 0] + q_next / capacities * theta[:, 1] + theta[:, 2]
+    predicted = rls.predict(estimator, rls.build_regressor(currents, q_next, capacities))
     return predicted.std(axis=1)
 
 
@@ -136,7 +132,7 @@ def predict_stds_plant(
 
 def select_plan(
     voltages: Sequence[float],
-    estimators: Optional[Sequence[rls.RlsEstimator]],
+    estimator: Optional[rls.RlsEstimator],
     charge_accumulators: Optional[Sequence[float]],
     external_current: float,
     conv: ConverterParams,
@@ -159,12 +155,12 @@ def select_plan(
             raise ValueError("prediction_source 'plant' requires the plant models")
         stds = predict_stds_plant(ranking, plant, external_current, conv, voltages)
     else:
-        if estimators is None or charge_accumulators is None or capacities is None:
+        if estimator is None or charge_accumulators is None or capacities is None:
             raise ValueError(
                 "prediction_source 'rls' requires estimators, accumulators and capacities"
             )
         stds = predict_stds(
-            ranking, estimators, charge_accumulators, capacities, external_current, conv, voltages
+            ranking, estimator, charge_accumulators, capacities, external_current, conv, voltages
         )
 
     # A strict `<` scan from the all-off schedule: a NaN never wins, and a

@@ -75,6 +75,17 @@ class CellParams:
         for name, value in positives:
             if not (value > 0.0) or not math.isfinite(value):
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        # step_exact divides by each time constant, so none may underflow to 0
+        taus = [
+            ("rc1", self.rc1_resistance * self.rc1_capacitance),
+            ("rc2", self.rc2_resistance * self.rc2_capacitance),
+        ]
+        if self.self_discharge_resistance is not None:
+            tau_sd = self.self_discharge_resistance * self.capacity_coulombs
+            taus.append(("self-discharge", tau_sd))
+        for name, tau in taus:
+            if not tau > 0.0:
+                raise ValueError(f"{name} time constant R*C must be positive, got {tau!r} s")
         if not (math.isfinite(self.ocv_exponent) and self.ocv_exponent > 0.0):
             raise ValueError("ocv_exponent must be positive and finite")
         # the converter's nominal cycle divides by the lowest v_min

@@ -155,8 +155,12 @@ class ScenarioConfig:
             )
         if not (isinstance(self.record_every, int) and self.record_every >= 1):
             raise ValueError("record_every must be an integer >= 1")
-        if not (self.noise_std >= 0.0 and math.isfinite(self.noise_std)):
-            raise ValueError(f"noise_std must be >= 0 and finite, got {self.noise_std!r}")
+        v_top = min(p.v_max for p, _ in self.cells)
+        if not 0.0 <= self.noise_std < v_top:
+            raise ValueError(
+                f"noise_std must be >= 0 and below the lowest v_max {v_top!r} V, "
+                f"got {self.noise_std!r}"
+            )
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed!r}")
         if not 0.0 < self.forgetting_factor <= 1.0:
@@ -290,8 +294,9 @@ class Simulation:
         self.params = [p for p, _ in cfg.cells]
         self.states = [s for _, s in cfg.cells]
         self.capacities = [p.capacity_coulombs for p in self.params]
+        self._r_stack = sum(p.series_resistance for p in self.params)
         self.accumulators = [0.0] * len(self.params)
-        self.estimators = rls.initial_estimators(
+        self.estimator = rls.initial_estimators(
             self.params, cfg.warm_start, cfg.initial_covariance, cfg.forgetting_factor
         )
         self.charger_state = ChargerState()
@@ -307,26 +312,26 @@ class Simulation:
 
     # -- helpers ---------------------------------------------------------
 
-    def _charger_current(self) -> float:
+    def _charger_current(self, rest: list[float]) -> float:
         if self.cfg.charger.mode == "idle":
             return 0.0
-        rest = [terminal_voltage(p, s, 0.0) for p, s in zip(self.params, self.states)]
-        r_tot = sum(p.series_resistance for p in self.params)
         was_tripped = self.charger_state.guard_tripped
-        i = cc_cv_current(self.cfg.charger, sum(rest), r_tot, rest, self.charger_state)
+        i = cc_cv_current(self.cfg.charger, sum(rest), self._r_stack, rest, self.charger_state)
         if self.charger_state.guard_tripped and not was_tripped:
             self.events.append(
                 (self.time, "charger_guard", "cell over limit, charger latched off")
             )
         return i
 
-    def _measure(self, i_ext: float) -> tuple[list[float], list[float], float]:
-        """True and measured voltages at the given current.
+    def _measure(self) -> tuple[list[float], list[float], float]:
+        """True and measured voltages at the charger's current, and that current.
 
         A cell outside its safety band forces the external current to zero
         for this step and is recorded as an event on entry.
         """
-        v_true = [terminal_voltage(p, s, i_ext) for p, s in zip(self.params, self.states)]
+        rest = [terminal_voltage(p, s, 0.0) for p, s in zip(self.params, self.states)]
+        i_ext = self._charger_current(rest)
+        v_true = [v - p.series_resistance * i_ext for v, p in zip(rest, self.params)]
         violated = [
             j for j, v in enumerate(v_true)
             if v < self.params[j].v_min or v > self.params[j].v_max
@@ -339,7 +344,7 @@ class Simulation:
         self._in_band_violation = set(violated)
         if violated and i_ext != 0.0:
             i_ext = 0.0
-            v_true = [terminal_voltage(p, s, 0.0) for p, s in zip(self.params, self.states)]
+            v_true = rest
         if self.cfg.noise_std > 0.0:
             noise = self.noise_rng.normal(0.0, self.cfg.noise_std, size=len(v_true))
             v_meas = [v + float(e) for v, e in zip(v_true, noise)]
@@ -366,7 +371,7 @@ class Simulation:
             plant = list(zip(self.params, self.states))
         return select_plan(
             v_meas,
-            self.estimators,
+            self.estimator,
             self.accumulators,
             i_ext,
             cfg.converter,
@@ -387,15 +392,14 @@ class Simulation:
             soc=tuple(s.soc for s in self.states),
             voltage=tuple(v_meas),
             current=tuple(currents),
-            theta=tuple(tuple(e.theta.tolist()) for e in self.estimators),
+            theta=tuple(map(tuple, self.estimator.theta.tolist())),
             candidate_bits=bits,
             voltage_std=std(v_meas),
             charger_current=i_ext,
         )
 
     def _finish(self) -> None:
-        i_ext = self._charger_current()
-        _v_true, v_meas, i_ext = self._measure(i_ext)
+        _v_true, v_meas, i_ext = self._measure()
         rec = self._snapshot(v_meas, [i_ext] * len(self.params), INACTIVE_BITS, i_ext)
         self.totals.add(rec)
         if self.cycle > 0:  # a run that never stepped leaves an empty trace on purpose
@@ -421,14 +425,12 @@ class Simulation:
             self._finish()
             return None
 
-        i_ext = self._charger_current()
-        v_true, v_meas, i_ext = self._measure(i_ext)
+        v_true, v_meas, i_ext = self._measure()
 
         # the current that flowed up to this measurement (the charger's at first)
         reg_currents = self._last_currents or [i_ext] * len(self.params)
-        self.estimators = rls.identification_step(
-            self.estimators, v_meas, reg_currents, self.accumulators, self.capacities
-        )
+        x = rls.build_regressor(reg_currents, self.accumulators, self.capacities)
+        self.estimator = rls.update(self.estimator, x, v_meas)
 
         decision = self._decide(v_meas, i_ext)
 

@@ -216,27 +216,25 @@ def fine_cycle_stds(
 def reference_stds(
     conv: ConverterParams,
     voltages,
-    estimators,
+    estimator,
     accumulators,
     capacities,
     external_current: float,
     ranking,
 ) -> list[float]:
     """Predicted end-of-cycle spread of each candidate, one candidate at a
-    time: the full waveform cycle, then one ``rls.predict`` per cell."""
+    time: the full waveform cycle, then one ``rls.predict`` over the cells'
+    (n, 3) regressors."""
     out = []
     for k in range(len(SCHEDULES)):
         res = simulate_cycle(conv, voltages, SwitchPlan(*ranking[:3], k))
         duration = res.timing.t3
-        predicted = []
-        for j, est in enumerate(estimators):
-            current = external_current
-            if duration > 0.0:
-                current = external_current - res.charge_delta[j] / duration
-            q_next = accumulators[j] + current * duration
-            x = rls.build_regressor(current, q_next, capacities[j])
-            predicted.append(rls.predict(est, x))
-        out.append(std(predicted))
+        currents = np.full(len(res.charge_delta), float(external_current))
+        if duration > 0.0:
+            currents = external_current - np.array(res.charge_delta) / duration
+        q_next = np.asarray(accumulators, dtype=float) + currents * duration
+        x = rls.build_regressor(currents, q_next, capacities)
+        out.append(std(rls.predict(estimator, x).tolist()))
     return out
 
 

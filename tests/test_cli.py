@@ -266,6 +266,21 @@ class TestTraceIo:
         with pytest.raises(TraceFormatError, match="line 4"):
             read_trace(path)
 
+    @pytest.mark.parametrize("command", ["identify", "export-plots"])
+    @pytest.mark.parametrize("column, text", [(0, "nan"), (3, "inf"), (7, "-inf"), (28, "NaN")])
+    def test_non_finite_value_exits_2(self, tmp_path, command, column, text):
+        trace, _ = run_scenario(make_stock_scenario(max_time=3.0))
+        path = tmp_path / "t.csv"
+        write_trace(path, trace, 4)
+        lines = path.read_text().splitlines()
+        parts = lines[2].split(",")
+        parts[column] = text
+        lines[2] = ",".join(parts)
+        path.write_text("\n".join(lines) + "\n")
+        r = cli(command, "--trace", str(path), "--out", str(tmp_path / "out"), cwd=tmp_path)
+        assert r.returncode == 2, r.stderr
+        assert f"line 3: {HEADER_4[column]} is {text!r}, not finite" in r.stderr
+
     def test_bad_candidate_bits_name_their_line(self, tmp_path):
         trace, _ = run_scenario(make_stock_scenario(max_time=3.0))
         path = tmp_path / "t.csv"
@@ -331,7 +346,7 @@ class TestSimulateCommand:
 
     def test_negative_measured_voltage_runs_through(self, tmp_path):
         r = cli(
-            "simulate", "--config", str(STOCK_CONFIG), "--set", "run.noise_std=5.0",
+            "simulate", "--config", str(STOCK_CONFIG), "--set", "run.noise_std=4.0",
             "--out", str(tmp_path / "run"), cwd=tmp_path,
         )
         assert r.returncode == 0, r.stderr
@@ -362,12 +377,22 @@ class TestSimulateCommand:
             ("run.seed=-1", "seed"),
             ("cells.0.self_discharge_resistance=Infinity", "self_discharge_resistance"),
             ("run.noise_std=NaN", "noise_std"),
+            ("run.noise_std=1e154", "noise_std"),
         ],
     )
     def test_out_of_domain_value_exits_2(self, tmp_path, assignment, field):
         r = cli("simulate", "--set", assignment, "--out", str(tmp_path / "run"), cwd=tmp_path)
         assert r.returncode == 2
         assert field in r.stderr
+
+    def test_underflowing_time_constant_exits_2(self, tmp_path):
+        r = cli(
+            "simulate", "--set", "run.max_time=20",
+            "--set", "cells.0.rc1_resistance=1e-200", "--set", "cells.0.rc1_capacitance=1e-200",
+            "--out", str(tmp_path / "run"), cwd=tmp_path,
+        )
+        assert r.returncode == 2
+        assert "rc1 time constant" in r.stderr
 
     @pytest.mark.parametrize("v1", ["1e200", "-1e200"])
     def test_starting_cell_voltage_out_of_range_exits_2(self, tmp_path, v1):

@@ -53,7 +53,7 @@ FIRST_DECISION_STDS = (
 
 
 def constant_estimators(values):
-    return [rls.init((0.0, 0.0, float(v)), 1e6, 1.0) for v in values]
+    return rls.init([(0.0, 0.0, float(v)) for v in values], 1e6, 1.0)
 
 
 def random_scoring_states(count: int, seed: int):
@@ -66,9 +66,9 @@ def random_scoring_states(count: int, seed: int):
         voltages = tuple(float(v) for v in rng.uniform(3.4, 4.15, size=4))
         if not should_balance(voltages, CFG):
             continue
-        ests = [
-            rls.init(theta0 + rng.normal(0.0, (0.05, 0.2, 0.05)), 1e6) for _ in range(4)
-        ]
+        ests = rls.init(
+            [theta0 + rng.normal(0.0, (0.05, 0.2, 0.05)) for _ in range(4)], 1e6
+        )
         accumulators = rng.uniform(-500.0, 500.0, size=4).tolist()
         capacities = rng.uniform(2000.0, 4000.0, size=4).tolist()
         i_ext = float(rng.choice([0.0, -0.4, rng.uniform(-1.0, 0.0)]))
@@ -344,10 +344,8 @@ class TestVectorizedScoring:
 
     def test_nan_theta_keeps_the_scan_pick(self):
         voltages, ests, accumulators, capacities, i_ext = self.STATES[0]
-        ests = list(ests)
-        broken = rls.init(ests[1].theta, 1e6)
-        broken.theta[0] = np.nan
-        ests[1] = broken
+        ests = rls.init(ests.theta, 1e6)
+        ests.theta[1, 0] = np.nan
         d = select_plan(voltages, ests, accumulators, i_ext, CONV, CFG, capacities=capacities)
         ref = reference_stds(CONV, voltages, ests, accumulators, capacities, i_ext, d.ranking)
         assert np.isnan(d.predicted_std).all() and np.isnan(ref).all()

@@ -73,6 +73,23 @@ class TestCellParams:
         with pytest.raises(ValueError):
             representative_cell_params(**{field: value})
 
+    @pytest.mark.parametrize(
+        "fields,name",
+        [
+            ({"rc1_resistance": 1e-200, "rc1_capacitance": 1e-200}, "rc1"),
+            ({"rc2_resistance": 1e-160, "rc2_capacitance": 1e-170}, "rc2"),
+            (
+                {"self_discharge_resistance": 1e-300, "capacity_coulombs": 1e-300},
+                "self-discharge",
+            ),
+        ],
+    )
+    def test_underflowing_time_constant_rejected(self, fields, name):
+        # each factor is positive, but their product rounds to 0 and step_exact
+        # would divide by it
+        with pytest.raises(ValueError, match=f"{name} time constant R\\*C must be positive"):
+            representative_cell_params(**fields)
+
     def test_voltage_band_ordering(self):
         with pytest.raises(ValueError, match="v_min"):
             representative_cell_params(v_min=4.2, v_max=4.2)

@@ -157,6 +157,8 @@ class TestScenarioConfig:
             dict(forgetting_factor=0.0),
             dict(forgetting_factor=1.2),
             dict(initial_covariance=0.0),
+            dict(noise_std=4.2),  # the stock cells' v_max
+            dict(noise_std=1e154),
         ],
     )
     def test_scalar_domains(self, overrides):
@@ -298,8 +300,8 @@ class TestRunScenario:
         assert sim.time == 0.0
 
     def test_negative_measurement_is_a_fault_not_a_decision(self):
-        # 5 V of noise on ~3.7 V cells reads negative within a few steps
-        sim = Simulation(make_stock_scenario(noise_std=5.0, seed=3, max_time=60.0))
+        # 4 V of noise on ~3.7 V cells reads negative within a few steps
+        sim = Simulation(make_stock_scenario(noise_std=4.0, seed=3, max_time=60.0))
         while not any(ev[1] == "measurement_fault" for ev in sim.events):
             rec = sim.step()
             assert rec is not None, "no non-positive reading in the run"

@@ -199,3 +199,27 @@ class TestConvergence:
                 assert np.array_equal(est.covariance, est.covariance.T)
                 assert np.linalg.eigvalsh(est.covariance)[0] > 0.0, f"lost PD at {k}"
         assert np.linalg.eigvalsh(est.covariance)[0] > 0.0
+
+
+class TestStacked:
+    def test_stack_matches_single_estimators_bit_for_bit(self):
+        # a (4, 3) estimator fed a random stream carries, in each row, the
+        # bits of a single estimator fed that row's column of the stream;
+        # cells 1 and 2 see no current, so their covariance reaches the trace
+        # bound and stops forgetting while cells 3 and 4 keep forgetting
+        rng = np.random.default_rng(31)
+        theta0 = rng.normal(size=(4, 3))
+        stacked = rls.init(theta0, 1e3, 0.98)
+        singles = [rls.init(t, 1e3, 0.98) for t in theta0]
+        for _ in range(400):
+            currents = rng.normal(size=4) * [0.0, 0.0, 1.0, 1.0]
+            x = build_regressor(currents, rng.normal(0.0, 300.0, 4), rng.uniform(2e3, 4e3, 4))
+            y = rng.normal(3.7, 0.2, size=4)
+            stacked = rls.update(stacked, x, y)
+            singles = [rls.update(e, x[j], y[j]) for j, e in enumerate(singles)]
+            assert np.array_equal(stacked.theta, [e.theta for e in singles])
+            assert np.array_equal(stacked.covariance, [e.covariance for e in singles])
+            assert np.array_equal(stacked.innovation, [e.innovation for e in singles])
+            candidates = rng.normal(size=(16, 4, 3))
+            expected = [[rls.predict(e, c[j]) for j, e in enumerate(singles)] for c in candidates]
+            assert np.array_equal(rls.predict(stacked, candidates), expected)
