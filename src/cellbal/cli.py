@@ -310,22 +310,15 @@ def _fmt(x: float) -> str:
 
 
 def write_trace(path: str | Path, trace: Sequence[TraceRecord], n_cells: int) -> None:
+    """One comma join and CRLF per row: ``csv.writer``'s bytes, as no field needs quoting."""
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(trace_header(n_cells))
+        fh.write(",".join(trace_header(n_cells)) + "\r\n")
         for r in trace:
-            row: list[str] = [_fmt(r.time), str(r.cycle)]
+            row = [_fmt(r.time), str(r.cycle)]
             for k in range(n_cells):
-                row += [
-                    _fmt(r.soc[k]),
-                    _fmt(r.voltage[k]),
-                    _fmt(r.current[k]),
-                    _fmt(r.theta[k][0]),
-                    _fmt(r.theta[k][1]),
-                    _fmt(r.theta[k][2]),
-                ]
-            row += [r.candidate_bits, _fmt(r.voltage_std), _fmt(r.charger_current)]
-            w.writerow(row)
+                row += map(_fmt, (r.soc[k], r.voltage[k], r.current[k], *r.theta[k]))
+            row += (r.candidate_bits, _fmt(r.voltage_std), _fmt(r.charger_current))
+            fh.write(",".join(row) + "\r\n")
 
 
 def read_trace(path: str | Path) -> list[TraceRecord]:

@@ -68,6 +68,17 @@ def std(values: Sequence[float]) -> float:
     return math.sqrt(sum((v - mean) ** 2 for v in values) / n)
 
 
+def row_stds(values: np.ndarray) -> np.ndarray:
+    """``values.std(axis=1)`` bit for bit: numpy's own ufunc steps, without its wrappers."""
+    dev = values - np.add.reduce(values, axis=1, keepdims=True) / values.shape[1]
+    return np.sqrt(np.add.reduce(np.square(dev), axis=1) / values.shape[1])
+
+
+def first_min(scores: np.ndarray) -> int:
+    """``np.nanargmin(scores)`` for scores that are not all NaN, without its wrappers."""
+    return int(np.where(np.isnan(scores), np.inf, scores).argmin())
+
+
 def _cycle_currents(
     ranking: Sequence[int],
     conv: ConverterParams,
@@ -104,7 +115,7 @@ def predict_stds(
     currents, duration = _cycle_currents(ranking, conv, voltages, external_current)
     q_next = np.asarray(charge_accumulators, dtype=float) + currents * duration[:, None]
     predicted = rls.predict(estimator, rls.build_regressor(currents, q_next, capacities))
-    return predicted.std(axis=1)
+    return row_stds(predicted)
 
 
 def predict_stds_plant(
@@ -127,7 +138,7 @@ def predict_stds_plant(
         for k, (current, dt) in enumerate(zip(currents[:, j].tolist(), duration.tolist())):
             end = step_exact(params, state, current, dt)[0] if dt > 0.0 else state
             predicted[k, j] = terminal_voltage(params, end, external_current)
-    return predicted.std(axis=1)
+    return row_stds(predicted)
 
 
 def select_plan(
@@ -165,5 +176,5 @@ def select_plan(
 
     # A strict `<` scan from the all-off schedule: a NaN never wins, and a
     # NaN first score keeps the all-off schedule.
-    best = 0 if math.isnan(stds[0]) else int(np.nanargmin(stds))
+    best = 0 if math.isnan(stds[0]) else first_min(stds)
     return Decision(SwitchPlan(*ranking[:3], best), tuple(stds.tolist()), ranking)

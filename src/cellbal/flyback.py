@@ -43,10 +43,9 @@ import numpy as np
 # conducts for a number of half on-times and switches off after one (stage I
 # only) or two.
 SCHEDULES: tuple[tuple[bool, ...], ...] = tuple(product((False, True), repeat=4))
-_WINDOWS = np.array([(2, c11 + c12, c21 + c22) for c11, c21, c12, c22 in SCHEDULES], dtype=float)
-_OFF_AT = np.array(
-    [(2, 2 - (c11 > c12), 2 - (c21 > c22)) for c11, c21, c12, c22 in SCHEDULES], dtype=float
-)
+_WINDOWS = tuple((2.0, float(c11 + c12), float(c21 + c22)) for c11, c21, c12, c22 in SCHEDULES)
+_OFF_AT = tuple((2.0, 2.0 - (c11 > c12), 2.0 - (c21 > c22)) for c11, c21, c12, c22 in SCHEDULES)
+_WINDOW_TABLE, _OFF_AT_TABLE = np.array(_WINDOWS), np.array(_OFF_AT)
 
 
 @dataclass(frozen=True)
@@ -238,19 +237,9 @@ def simulate_cycle(
     The simulation applies :func:`cycle_charge_deltas`; this waveform view
     is the reference that its closed form is tested against.
     """
-    n = conv.n_cells
-    if len(cell_voltages) != n:
-        raise ValueError(f"expected {n} cell voltages, got {len(cell_voltages)}")
-    for v in cell_voltages:
-        if not v > 0.0:
-            raise ValueError(f"cell voltages must all be positive, got {v!r}")
-    for idx in (plan.target_cell, plan.second_cell, plan.third_cell):
-        if idx >= n:
-            raise ValueError(f"plan cell {idx} out of range for {n} cells")
-
-    l_m = conv.magnetizing_inductance
-    ratio = conv.turns_primary / conv.turns_secondary
-    v_stack = sum(cell_voltages)
+    n, l_m = conv.n_cells, conv.magnetizing_inductance
+    cells = (plan.target_cell, plan.second_cell, plan.third_cell)
+    half, ratio, fw_slope = _cycle_constants(conv, cell_voltages, cells)
     t_on = compute_t_on(conv, cell_voltages[plan.target_cell])
 
     if t_on == 0.0:
@@ -264,15 +253,8 @@ def simulate_cycle(
             timing=CycleTiming(0.0, 0.0, 0.0, 0.0, 0.0),
         )
 
-    half = 0.5 * t_on
-    fw_slope = ratio * v_stack / l_m  # A/s shed by any freewheeling winding
-
     c11, c21, c12, c22 = SCHEDULES[plan.schedule]
-    switched = (
-        (plan.target_cell, True, True),
-        (plan.second_cell, c11, c12),
-        (plan.third_cell, c21, c22),
-    )
+    switched = ((cells[0], True, True), (cells[1], c11, c12), (cells[2], c21, c22))
     active = [
         (cell, _activity_pieces(cell_voltages[cell] / l_m, on1, on2, half, fw_slope))
         for cell, on1, on2 in switched
@@ -346,18 +328,8 @@ def simulate_cycle(
     )
 
 
-def charge_table(
-    conv: ConverterParams, cell_voltages: Sequence[float], cells: Sequence[int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Charge deltas and lengths of the cycles of all 16 schedules at once.
-
-    ``cells`` are the target, second and third cell.  Row k of the (16, n)
-    delta table and of the (16,) length vector belong to ``SCHEDULES[k]``;
-    they are :func:`simulate_cycle`'s coulomb bookkeeping for that plan,
-    without the waveforms.  A winding that conducts for ``ramp`` seconds
-    peaks at v/L*ramp, sources half that times ``ramp`` from its own cell,
-    and sheds its peak into the stack at ``fw_slope`` once switched off.
-    """
+def _cycle_constants(conv: ConverterParams, cell_voltages: Sequence[float], cells):
+    """Half on-time, turns ratio and freewheel slope (A/s) of a cycle targeting ``cells[0]``."""
     n = conv.n_cells
     if len(cell_voltages) != n:
         raise ValueError(f"expected {n} cell voltages, got {len(cell_voltages)}")
@@ -367,28 +339,52 @@ def charge_table(
     for idx in cells:
         if idx >= n:
             raise ValueError(f"plan cell {idx} out of range for {n} cells")
-    t_on = compute_t_on(conv, cell_voltages[cells[0]])
-    if t_on == 0.0:
-        return np.zeros((len(SCHEDULES), n)), np.zeros(len(SCHEDULES))
-
-    l_m = conv.magnetizing_inductance
     ratio = conv.turns_primary / conv.turns_secondary
-    fw_slope = ratio * sum(cell_voltages) / l_m
-    half = 0.5 * t_on
-    ramp = half * _WINDOWS
-    peak = np.array([cell_voltages[c] for c in cells]) / l_m * ramp
-    freewheel = 0.5 * peak * peak / fw_slope
-    secondary = ratio * (freewheel[:, 0] + freewheel[:, 1] + freewheel[:, 2])
-    deltas = np.repeat(secondary[:, None], n, axis=1)
-    deltas[:, list(cells)] -= 0.5 * peak * ramp
-    return deltas, (half * _OFF_AT + peak / fw_slope).max(axis=1)
+    fw_slope = ratio * sum(cell_voltages) / conv.magnetizing_inductance
+    return 0.5 * compute_t_on(conv, cell_voltages[cells[0]]), ratio, fw_slope
+
+
+def _winding(v_cell, window, off_at, half, l_m, fw_slope):
+    """A switched winding's freewheel charge (primary-referred), drain on its own cell
+    and zero-current instant, elementwise over floats or arrays.  On for ``window`` half
+    on-times, it peaks at v/L*ramp, drains half that times ``ramp`` and, off after
+    ``off_at``, sheds the peak into the stack at ``fw_slope``."""
+    ramp = half * window
+    peak = v_cell / l_m * ramp
+    return 0.5 * peak * peak / fw_slope, 0.5 * peak * ramp, half * off_at + peak / fw_slope
+
+
+def charge_table(
+    conv: ConverterParams, cell_voltages: Sequence[float], cells: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Charge deltas and lengths of the cycles of all 16 schedules at once.
+
+    ``cells`` are the target, second and third cell, the columns of one
+    :func:`_winding` pass.  Row k of the (16, n) deltas and (16,) lengths is
+    :func:`simulate_cycle`'s coulomb bookkeeping for ``SCHEDULES[k]``.
+    """
+    n, l_m = conv.n_cells, conv.magnetizing_inductance
+    half, ratio, fw_slope = _cycle_constants(conv, cell_voltages, cells)
+    v_switched = np.array([cell_voltages[c] for c in cells])
+    fw, drain, end = _winding(v_switched, _WINDOW_TABLE, _OFF_AT_TABLE, half, l_m, fw_slope)
+    deltas = np.repeat(ratio * (fw[:, 0] + fw[:, 1] + fw[:, 2])[:, None], n, axis=1)
+    deltas[:, list(cells)] -= drain
+    return deltas, end.max(axis=1)
 
 
 def cycle_charge_deltas(
     conv: ConverterParams, cell_voltages: Sequence[float], plan: SwitchPlan
 ) -> tuple[tuple[float, ...], float]:
-    """One plan's row of :func:`charge_table`: per-cell charge deltas and
-    cycle duration, as the simulation applies them."""
+    """Row ``plan.schedule`` of :func:`charge_table` from the same expressions in plain
+    floats: per-cell charge deltas and cycle duration, as the simulation applies them."""
     cells = (plan.target_cell, plan.second_cell, plan.third_cell)
-    deltas, t3 = charge_table(conv, cell_voltages, cells)
-    return tuple(deltas[plan.schedule].tolist()), float(t3[plan.schedule])
+    k, l_m = plan.schedule, conv.magnetizing_inductance
+    half, ratio, fw_slope = _cycle_constants(conv, cell_voltages, cells)
+    (f0, d0, e0), (f1, d1, e1), (f2, d2, e2) = [
+        _winding(cell_voltages[c], w, o, half, l_m, fw_slope)
+        for c, w, o in zip(cells, _WINDOWS[k], _OFF_AT[k])
+    ]
+    deltas = [ratio * (f0 + f1 + f2)] * conv.n_cells
+    for cell, drain in zip(cells, (d0, d1, d2)):
+        deltas[cell] -= drain
+    return tuple(deltas), max(e0, e1, e2)

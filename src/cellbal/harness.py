@@ -110,9 +110,9 @@ def cc_cv_current(
     return i
 
 
-def greedy_baseline_plan(voltages: Sequence[float]) -> SwitchPlan:
-    """Reference policy: address only the highest cell, no auxiliary windows."""
-    return SwitchPlan(*rank_cells(voltages)[:3])
+def greedy_baseline_plan(voltages: Sequence[float], ranking=None) -> SwitchPlan:
+    """Reference policy: only the highest cell (``ranking[0]`` if given), no auxiliary windows."""
+    return SwitchPlan(*(ranking or rank_cells(voltages))[:3])
 
 
 @dataclass
@@ -178,6 +178,20 @@ class ScenarioConfig:
                 raise ValueError(
                     f"max_time {self.max_time} s takes {self.max_time / dt:.3g} steps of "
                     f"{name} {dt:.3g} s, over the limit of {MAX_NOMINAL_STEPS:.0e}"
+                )
+        # magnitudes that would overflow the estimator and scorer; a run that never steps
+        # runs no cycle.  Drop at peak current below v_min, capacity above one cycle's drain.
+        drained = 0.5 * c.peak_current * (c.magnetizing_inductance * c.peak_current / v_floor)
+        for j, (p, _) in enumerate(self.cells if self.max_time > 0.0 else ()):
+            if not p.series_resistance * c.peak_current < p.v_min:
+                raise ValueError(
+                    f"cell {j} series_resistance {p.series_resistance!r} ohm must drop less than "
+                    f"its v_min {p.v_min!r} V at the converter's peak_current {c.peak_current!r} A"
+                )
+            if not p.capacity_coulombs > drained:
+                raise ValueError(
+                    f"cell {j} capacity_coulombs {p.capacity_coulombs!r} C does not exceed "
+                    f"the {drained:.3g} C one nominal converter cycle drains"
                 )
 
 
@@ -363,9 +377,9 @@ class Simulation:
             ]
             return Decision(None, (), rank_cells(v_meas))
         if cfg.policy == "greedy":
-            if not should_balance(v_meas, cfg.controller):
-                return Decision(None, (), rank_cells(v_meas))
-            return Decision(greedy_baseline_plan(v_meas), (), rank_cells(v_meas))
+            ranking = rank_cells(v_meas)
+            active = should_balance(v_meas, cfg.controller)
+            return Decision(greedy_baseline_plan(v_meas, ranking) if active else None, (), ranking)
         plant = None
         if cfg.controller.prediction_source == "plant":
             plant = list(zip(self.params, self.states))

@@ -295,6 +295,66 @@ class TestTraceIo:
         assert "line 3" in r.stderr and "'01a0'" in r.stderr
 
 
+def csv_writer_reference(path, trace, n_cells) -> None:
+    """The trace file as ``csv.writer`` writes it: repr floats, excel dialect."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(trace_header(n_cells))
+        for r in trace:
+            row = [repr(float(r.time)), str(r.cycle)]
+            for k in range(n_cells):
+                values = (r.soc[k], r.voltage[k], r.current[k], *r.theta[k])
+                row += [repr(float(v)) for v in values]
+            row += [r.candidate_bits, repr(float(r.voltage_std)), repr(float(r.charger_current))]
+            w.writerow(row)
+
+
+class TestTraceBytes:
+    """write_trace's bytes are csv.writer's, and read back to the same records."""
+
+    ODD = (-0.0, 0.0, 5e-324, -2.2e-310, 1e300, -1e-300, 3.0, -7.0, 1e16, 2.0**60, 0.1)
+
+    def odd_trace(self):
+        rng = np.random.default_rng(5)
+        bits = ["----", "0000", "0101", "1111", "----", "1010"]
+        trace = []
+        for row, candidate_bits in enumerate(bits):
+            pick = [self.ODD[int(k)] for k in rng.integers(0, len(self.ODD), size=23)]
+            trace.append(TraceRecord(
+                time=float(row) if row % 2 else row * 0.1,
+                cycle=row,
+                soc=tuple(pick[0:4]),
+                voltage=tuple(pick[4:8]),
+                current=tuple(pick[8:12]),
+                theta=tuple(zip(pick[12:16], pick[16:20], (-0.0, 1e-300, 4.0, 1e300))),
+                candidate_bits=candidate_bits,
+                voltage_std=pick[20],
+                charger_current=pick[21],
+            ))
+        return trace
+
+    def test_odd_magnitudes_match_csv_writer(self, tmp_path):
+        trace = self.odd_trace()
+        write_trace(tmp_path / "t.csv", trace, 4)
+        csv_writer_reference(tmp_path / "ref.csv", trace, 4)
+        data = (tmp_path / "t.csv").read_bytes()
+        assert data == (tmp_path / "ref.csv").read_bytes()
+        assert data.count(b"\r\n") == len(trace) + 1 and b'"' not in data
+        back = read_trace(tmp_path / "t.csv")
+        assert back == trace
+        flat = [x for r in back for x in (*r.soc, *r.voltage, *r.current)]
+        assert [x.hex() for x in flat] == [
+            x.hex() for r in trace for x in (*r.soc, *r.voltage, *r.current)
+        ]
+
+    def test_run_matches_csv_writer(self, tmp_path):
+        trace, _ = run_scenario(make_stock_scenario(max_time=5.0, noise_std=0.005, seed=3))
+        write_trace(tmp_path / "t.csv", trace, 4)
+        csv_writer_reference(tmp_path / "ref.csv", trace, 4)
+        assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        assert read_trace(tmp_path / "t.csv") == trace
+
+
 class TestSimulateCommand:
     def test_writes_trace_and_summary(self, tmp_path):
         r = cli(
@@ -410,6 +470,22 @@ class TestSimulateCommand:
         )
         assert r.returncode == 2
         assert "cell_voltage_limit must be positive and finite" in r.stderr
+
+    @pytest.mark.parametrize(
+        "assignment, key",
+        [
+            ("cells.0.series_resistance=1e300", "cell 0 series_resistance"),
+            ("cells.0.capacity_coulombs=1e-300", "cell 0 capacity_coulombs"),
+        ],
+    )
+    def test_overflowing_cell_magnitude_exits_2(self, tmp_path, assignment, key):
+        # the warm start and the regressor would overflow the estimator and scorer
+        r = cli(
+            "simulate", "--set", "run.max_time=20", "--set", assignment,
+            "--out", str(tmp_path / "run"), cwd=tmp_path,
+        )
+        assert r.returncode == 2, r.stderr
+        assert key in r.stderr and "overflow" not in r.stderr
 
     @pytest.mark.parametrize(
         "sets",

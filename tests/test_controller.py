@@ -152,6 +152,37 @@ class TestStd:
             std(())
 
 
+class TestScoreReductions:
+    """The scorer's written-out reductions are numpy's own steps."""
+
+    @staticmethod
+    def tables(seed: int):
+        rng = np.random.default_rng(seed)
+        for trial in range(300):
+            table = rng.normal(3.7, 10.0 ** rng.uniform(-9, 3), size=(16, int(rng.integers(2, 9))))
+            for value in (np.nan, np.inf, -np.inf)[: trial % 4]:
+                table[rng.integers(16), rng.integers(table.shape[1])] = value
+            yield table
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_row_stds_is_numpy_std_bit_for_bit(self):
+        for table in self.tables(11):
+            assert controller.row_stds(table).tobytes() == table.std(axis=1).tobytes()
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_first_min_is_nanargmin(self):
+        rng = np.random.default_rng(12)
+        for table in self.tables(13):
+            scores = np.round(table.std(axis=1), int(rng.integers(0, 4)))  # ties
+            for k in rng.integers(0, 16, size=int(rng.integers(0, 4))):
+                scores[k] = np.nan  # first and later positions
+            if not np.isnan(scores).all():
+                assert controller.first_min(scores) == np.nanargmin(scores)
+        for scores in ([np.nan, 2.0, 1.0, 1.0], [np.inf, np.nan, np.inf], [-np.inf, 0.0, -np.inf]):
+            scores = np.array(scores)
+            assert controller.first_min(scores) == np.nanargmin(scores)
+
+
 class TestControllerConfig:
     @pytest.mark.parametrize("threshold", [0.0, -0.1, float("inf")])
     def test_threshold_domain(self, threshold):

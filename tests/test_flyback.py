@@ -289,6 +289,29 @@ class TestCycleInvariants:
                 scale = np.max(np.abs(ref))
                 assert np.max(np.abs(deltas[k] - ref)) <= 1e-12 * scale, (trial, k)
 
+    def test_applied_row_is_the_table_row_bit_for_bit(self):
+        # random converters (zero peak current included), voltages over six
+        # decades, rankings and all 16 schedules: the row the simulation
+        # applies is the table's row k, deltas and t3, with no tolerance
+        rng = np.random.default_rng(20261019)
+        for trial in range(400):
+            n = int(rng.integers(4, 7))
+            conv = ConverterParams(
+                magnetizing_inductance=float(10 ** rng.uniform(-6, 0)),
+                turns_primary=int(rng.integers(1, 4)),
+                turns_secondary=int(rng.integers(1, 6)),
+                peak_current=0.0 if trial % 20 == 0 else float(rng.uniform(0.1, 8.0)),
+                n_cells=n,
+            )
+            voltages = (10 ** rng.uniform(-3, 3, size=n)).tolist()
+            cells = tuple(int(c) for c in rng.permutation(n)[:3])
+            table, t3 = charge_table(conv, voltages, cells)
+            for k in range(len(SCHEDULES)):
+                deltas, length = cycle_charge_deltas(conv, voltages, SwitchPlan(*cells, k))
+                assert type(length) is float and all(type(d) is float for d in deltas)
+                got = [x.hex() for x in (*deltas, length)]
+                assert got == [x.hex() for x in (*table[k].tolist(), float(t3[k]))], (trial, k)
+
     def test_charge_table_degenerate_and_invalid(self):
         conv = ConverterParams(magnetizing_inductance=1e-4, peak_current=0.0)
         deltas, t3 = charge_table(conv, (4.0, 3.9, 3.8, 3.7), (0, 1, 2))

@@ -19,6 +19,7 @@ from cellbal import (
     cc_cv_current,
     cycle_charge_deltas,
     greedy_baseline_plan,
+    rank_cells,
     representative_cell_params,
     run_scenario,
     std,
@@ -202,6 +203,21 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match="steps of converter cycle"):
             make_stock_scenario(converter=ConverterParams(magnetizing_inductance=1e-4))
 
+    def test_cell_magnitudes_must_fit_the_converter(self):
+        # drop at 5 A below v_min 3 V; capacity above the drain 0.5 * I * (L * I / v_min)
+        conv = ConverterParams(magnetizing_inductance=0.01)
+        drained = 0.5 * 5.0 * (0.01 * 5.0 / 3.0)
+        for field, ok, bad in (
+            ("series_resistance", 0.5999, 0.6),
+            ("capacity_coulombs", drained * 1.001, drained),
+        ):
+            ok_cell = representative_cell_params(**{field: ok})
+            ScenarioConfig(cells=[(ok_cell, CellState(soc=0.5))] * 4, converter=conv)
+            bad_cell = representative_cell_params(**{field: bad})
+            cells = [(representative_cell_params(), CellState(soc=0.5))] * 3
+            with pytest.raises(ValueError, match=f"cell 3 {field}"):
+                ScenarioConfig(cells=cells + [(bad_cell, CellState(soc=0.5))], converter=conv)
+
 
 class TestTraceRecord:
     def test_bits_must_be_binary_or_inactive(self):
@@ -324,6 +340,17 @@ class TestRunScenario:
         assert rec.current == tuple(rec.charger_current - d / dt for d in deltas)
         assert sim.time - rec.time == dt
         assert sim.accumulators == [q + i * dt for q, i in zip(before, rec.current)]
+
+    def test_greedy_ranks_once_per_step(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            "cellbal.harness.rank_cells", lambda v: calls.append(1) or rank_cells(v)
+        )
+        sim = Simulation(make_stock_scenario("greedy", max_time=5.0))
+        steps = 0
+        while sim.step() is not None:
+            steps += 1
+        assert steps > 0 and len(calls) == steps
 
     def test_record_every_decimates(self):
         full, _ = run_scenario(make_stock_scenario(max_time=20.0))
