@@ -3,11 +3,11 @@ CSV export for plotting.
 
 The config file is JSON with ``//`` line comments allowed, split into the
 sections ``cells`` (a list of CellState + CellParams entries),
-``converter`` (ConverterParams without n_cells), ``charger``
-(ChargerConfig), ``controller`` (ControllerConfig) and ``run`` (the scalar
-fields of ScenarioConfig plus the sweep's ``policies``).  Any omitted key
-falls back to the dataclass default; an empty file (or no ``--config`` at
-all) therefore runs the stock four-cell scenario.
+``converter`` (ConverterParams; the number of cells sets the stack size),
+``charger`` (ChargerConfig), ``controller`` (ControllerConfig) and ``run``
+(the scalar fields of ScenarioConfig plus the sweep's ``policies``).  Any
+omitted key falls back to the dataclass default; an empty file (or no
+``--config`` at all) therefore runs the stock four-cell scenario.
 ``--set section.key=value`` overrides individual entries after the file is
 read; a key without a dot is taken from the ``run`` section.
 
@@ -23,6 +23,7 @@ import csv
 import dataclasses
 import json
 import math
+import re
 import sys
 import typing
 from datetime import datetime, timezone
@@ -61,10 +62,10 @@ DEFAULT_SOC = 0.5                      # a cell entry that names no soc
 DEFAULT_POLICIES = ["ampc", "greedy"]  # run.policies, the sweep-only key
 
 
-def _fields(cls: type, skip: tuple[str, ...] = ()) -> dict[str, Any]:
+def _fields(cls: type) -> dict[str, Any]:
     """Field name -> resolved annotation, in field order."""
     hints = typing.get_type_hints(cls)
-    return {f.name: hints[f.name] for f in dataclasses.fields(cls) if f.name not in skip}
+    return {f.name: hints[f.name] for f in dataclasses.fields(cls)}
 
 
 def _run_fields() -> dict[str, Any]:
@@ -82,7 +83,7 @@ _STATE_KEYS = tuple(_fields(CellState))
 # section -> {key: annotation}; the cells schema applies to each list entry
 _SCHEMA: dict[str, dict[str, Any]] = {
     "cells": {**_fields(CellState), **_fields(CellParams)},
-    "converter": _fields(ConverterParams, skip=("n_cells",)),
+    "converter": _fields(ConverterParams),
     "charger": _fields(ChargerConfig),
     "controller": _fields(ControllerConfig),
     "run": _run_fields(),
@@ -103,34 +104,13 @@ def _defaults() -> dict[str, dict]:
     }
 
 
+# a string literal, kept, or a // comment to the end of its line, dropped
+_STRING_OR_COMMENT = re.compile(r'("(?:[^"\\]|\\.)*")|//[^\n]*', re.DOTALL)
+
+
 def strip_json_comments(text: str) -> str:
     """Drop ``//`` comments outside string literals; JSON otherwise."""
-    out: list[str] = []
-    i, n = 0, len(text)
-    in_str = False
-    escaped = False
-    while i < n:
-        c = text[i]
-        if in_str:
-            out.append(c)
-            if escaped:
-                escaped = False
-            elif c == "\\":
-                escaped = True
-            elif c == '"':
-                in_str = False
-            i += 1
-        elif c == '"':
-            in_str = True
-            out.append(c)
-            i += 1
-        elif c == "/" and i + 1 < n and text[i + 1] == "/":
-            while i < n and text[i] != "\n":
-                i += 1
-        else:
-            out.append(c)
-            i += 1
-    return "".join(out)
+    return _STRING_OR_COMMENT.sub(lambda m: m.group(1) or "", text)
 
 
 def load_config(path: str | Path | None) -> dict:
@@ -285,7 +265,7 @@ def build_scenario(effective: dict, policy: str | None = None) -> ScenarioConfig
             run["policy"] = policy
         return ScenarioConfig(
             cells=cells,
-            converter=ConverterParams(n_cells=len(cells), **effective["converter"]),
+            converter=ConverterParams(**effective["converter"]),
             charger=ChargerConfig(**effective["charger"]),
             controller=ControllerConfig(**effective["controller"]),
             **run,

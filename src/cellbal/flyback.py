@@ -55,14 +55,13 @@ class ConverterParams:
     ``magnetizing_inductance`` is per primary winding (henries, 10 mH stock);
     windings are identical.  ``peak_current`` is the target-winding peak the
     on-time is sized for (amperes); zero is allowed and yields a degenerate
-    no-op cycle.
+    no-op cycle.  The stack is as long as the cell voltages a cycle is given.
     """
 
     magnetizing_inductance: float = 0.01
     turns_primary: int = 1
     turns_secondary: int = 4
     peak_current: float = 5.0
-    n_cells: int = 4
 
     def __post_init__(self) -> None:
         if not (self.magnetizing_inductance > 0.0 and math.isfinite(self.magnetizing_inductance)):
@@ -71,8 +70,6 @@ class ConverterParams:
             raise ValueError("turns counts must be >= 1")
         if self.peak_current < 0.0 or not math.isfinite(self.peak_current):
             raise ValueError("peak_current must be >= 0 and finite")
-        if self.n_cells < 2:
-            raise ValueError("n_cells must be >= 2")
 
 
 @dataclass(frozen=True)
@@ -189,6 +186,14 @@ def compute_t_on(conv: ConverterParams, v_cell: float) -> float:
     return conv.magnetizing_inductance * conv.peak_current / v_cell
 
 
+def nominal_cycle(conv: ConverterParams, n: int, v_floor: float) -> tuple[float, float]:
+    """Length and target drain (coulombs) of a target-only cycle on ``n`` cells all at
+    ``v_floor``: the on-time plus the tail in which the peak freewheels into the stack."""
+    tail = 1.0 + conv.turns_secondary / (conv.turns_primary * n)
+    length = conv.magnetizing_inductance * conv.peak_current * tail / v_floor
+    return length, 0.5 * conv.peak_current * compute_t_on(conv, v_floor)
+
+
 def _activity_pieces(v_over_l: float, on1: bool, on2: bool, half: float, fw_slope: float):
     """Linear pieces (ta, tb, ia, ib, conducting) for one switched winding."""
     t_on = 2.0 * half
@@ -237,7 +242,7 @@ def simulate_cycle(
     The simulation applies :func:`cycle_charge_deltas`; this waveform view
     is the reference that its closed form is tested against.
     """
-    n, l_m = conv.n_cells, conv.magnetizing_inductance
+    n, l_m = len(cell_voltages), conv.magnetizing_inductance
     cells = (plan.target_cell, plan.second_cell, plan.third_cell)
     half, ratio, fw_slope = _cycle_constants(conv, cell_voltages, cells)
     t_on = compute_t_on(conv, cell_voltages[plan.target_cell])
@@ -330,9 +335,7 @@ def simulate_cycle(
 
 def _cycle_constants(conv: ConverterParams, cell_voltages: Sequence[float], cells):
     """Half on-time, turns ratio and freewheel slope (A/s) of a cycle targeting ``cells[0]``."""
-    n = conv.n_cells
-    if len(cell_voltages) != n:
-        raise ValueError(f"expected {n} cell voltages, got {len(cell_voltages)}")
+    n = len(cell_voltages)
     for v in cell_voltages:
         if not v > 0.0:
             raise ValueError(f"cell voltages must all be positive, got {v!r}")
@@ -363,7 +366,7 @@ def charge_table(
     :func:`_winding` pass.  Row k of the (16, n) deltas and (16,) lengths is
     :func:`simulate_cycle`'s coulomb bookkeeping for ``SCHEDULES[k]``.
     """
-    n, l_m = conv.n_cells, conv.magnetizing_inductance
+    n, l_m = len(cell_voltages), conv.magnetizing_inductance
     half, ratio, fw_slope = _cycle_constants(conv, cell_voltages, cells)
     v_switched = np.array([cell_voltages[c] for c in cells])
     fw, drain, end = _winding(v_switched, _WINDOW_TABLE, _OFF_AT_TABLE, half, l_m, fw_slope)
@@ -384,7 +387,7 @@ def cycle_charge_deltas(
         _winding(cell_voltages[c], w, o, half, l_m, fw_slope)
         for c, w, o in zip(cells, _WINDOWS[k], _OFF_AT[k])
     ]
-    deltas = [ratio * (f0 + f1 + f2)] * conv.n_cells
+    deltas = [ratio * (f0 + f1 + f2)] * len(cell_voltages)
     for cell, drain in zip(cells, (d0, d1, d2)):
         deltas[cell] -= drain
     return tuple(deltas), max(e0, e1, e2)

@@ -28,7 +28,7 @@ from .controller import (
     std,
 )
 from .ecm import CellParams, CellState, step_exact, terminal_voltage
-from .flyback import ConverterParams, SwitchPlan, cycle_charge_deltas
+from .flyback import ConverterParams, SwitchPlan, cycle_charge_deltas, nominal_cycle
 
 INACTIVE_BITS = "----"
 _TRACE_BITS = {INACTIVE_BITS, *(format(k, "04b") for k in range(16))}
@@ -80,7 +80,8 @@ def cc_cv_current(
     cell_voltages: Sequence[float],
     state: ChargerState,
 ) -> float:
-    """Charger current for this instant, advancing the phase state.
+    """Charger current for this instant, advancing the phase state; idle
+    mode returns 0.0 and never touches the state.
 
     ``stack_voltage`` is the stack's zero-current (rest) voltage;
     regulation works against the aggregate ohmic model
@@ -136,11 +137,6 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if len(self.cells) < 4:
             raise ValueError(f"need at least 4 cells, got {len(self.cells)}")
-        if len(self.cells) != self.converter.n_cells:
-            raise ValueError(
-                f"converter is sized for {self.converter.n_cells} cells "
-                f"but {len(self.cells)} were configured"
-            )
         for j, (p, s) in enumerate(self.cells):
             v = terminal_voltage(p, s, 0.0)  # at rest
             if not 0.0 < v <= 2.0 * p.v_max:
@@ -167,10 +163,9 @@ class ScenarioConfig:
             raise ValueError("forgetting_factor must lie in (0, 1]")
         if not self.initial_covariance > 0.0:
             raise ValueError("initial_covariance must be positive")
-        # nominal cycle: on-time at the lowest allowed voltage plus the freewheel tail
+        # the longest nominal cycle runs with every cell at the lowest allowed voltage
         c, v_floor = self.converter, min(p.v_min for p, _ in self.cells)
-        tail = 1.0 + c.turns_secondary / (c.turns_primary * len(self.cells))
-        cycle = c.magnetizing_inductance * c.peak_current * tail / v_floor
+        cycle, drained = nominal_cycle(c, len(self.cells), v_floor)
         if not math.isfinite(cycle) or 0.0 < self.max_time < cycle:
             raise ValueError(f"converter cycle {cycle:.3g} s exceeds max_time {self.max_time} s")
         for name, dt in (("converter cycle", cycle), ("idle_dt", self.idle_dt)):
@@ -181,7 +176,6 @@ class ScenarioConfig:
                 )
         # magnitudes that would overflow the estimator and scorer; a run that never steps
         # runs no cycle.  Drop at peak current below v_min, capacity above one cycle's drain.
-        drained = 0.5 * c.peak_current * (c.magnetizing_inductance * c.peak_current / v_floor)
         for j, (p, _) in enumerate(self.cells if self.max_time > 0.0 else ()):
             if not p.series_resistance * c.peak_current < p.v_min:
                 raise ValueError(
@@ -292,7 +286,9 @@ class _Totals:
         )
 
 
-def summarize(trace: Sequence[TraceRecord], gap_threshold: float = 0.02) -> Summary:
+def summarize(
+    trace: Sequence[TraceRecord], gap_threshold: float = ControllerConfig.gap_threshold
+) -> Summary:
     """Condense a trace into the run-level figures of merit."""
     totals = _Totals(gap_threshold)
     for rec in trace:
@@ -327,8 +323,6 @@ class Simulation:
     # -- helpers ---------------------------------------------------------
 
     def _charger_current(self, rest: list[float]) -> float:
-        if self.cfg.charger.mode == "idle":
-            return 0.0
         was_tripped = self.charger_state.guard_tripped
         i = cc_cv_current(self.cfg.charger, sum(rest), self._r_stack, rest, self.charger_state)
         if self.charger_state.guard_tripped and not was_tripped:
@@ -380,9 +374,6 @@ class Simulation:
             ranking = rank_cells(v_meas)
             active = should_balance(v_meas, cfg.controller)
             return Decision(greedy_baseline_plan(v_meas, ranking) if active else None, (), ranking)
-        plant = None
-        if cfg.controller.prediction_source == "plant":
-            plant = list(zip(self.params, self.states))
         return select_plan(
             v_meas,
             self.estimator,
@@ -391,7 +382,7 @@ class Simulation:
             cfg.converter,
             cfg.controller,
             capacities=self.capacities,
-            plant=plant,
+            plant=list(zip(self.params, self.states)),
         )
 
     def _record(self, rec: TraceRecord) -> None:
@@ -448,11 +439,8 @@ class Simulation:
 
         decision = self._decide(v_meas, i_ext)
 
-        charger_finished = (
-            cfg.charger.mode == "cc_cv" and self.charger_state.phase == "done"
-        )
         plan = decision.plan
-        if plan is None and charger_finished:
+        if plan is None and self.charger_state.phase == "done":
             self._finish()
             return None
 

@@ -30,11 +30,10 @@ class RlsEstimator:
     covariance: np.ndarray   # shape (..., 3, 3), each symmetric positive definite
     forgetting_factor: float
     trace_limit: float       # trace of the initial covariance; forgetting stays below it
-    sample_count: int = 0
     innovation: np.ndarray = 0.0  # shape (...): y - x . theta before the last update
 
 
-def init(theta0, p0_scale: float, forgetting_factor: float = 0.995) -> RlsEstimator:
+def init(theta0, p0_scale: float, forgetting_factor: float) -> RlsEstimator:
     """Fresh estimator with covariance p0_scale * I; theta0 is (3,) or (n, 3)."""
     if not p0_scale > 0.0:
         raise ValueError(f"p0_scale must be positive, got {p0_scale!r}")
@@ -112,7 +111,6 @@ def update(est: RlsEstimator, x, y) -> RlsEstimator:
         covariance=cov,
         forgetting_factor=lam,
         trace_limit=est.trace_limit,
-        sample_count=est.sample_count + 1,
         innovation=innovation,
     )
 

@@ -7,10 +7,12 @@ import csv
 import dataclasses
 import json
 import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cellbal import (
     CellParams,
@@ -116,6 +118,19 @@ class TestStripComments:
         text = '{"s": "a\\"//b"}'
         assert json.loads(strip_json_comments(text)) == {"s": 'a"//b'}
 
+    def test_escaped_backslash_ends_before_the_quote(self):
+        text = '{"s": "a\\\\"} // c'
+        assert json.loads(strip_json_comments(text)) == {"s": "a\\"}
+        text = '{"s": "a\\\\", "t": "//x"} // c'
+        assert json.loads(strip_json_comments(text)) == {"s": "a\\", "t": "//x"}
+
+    def test_unterminated_string_exits_2(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"s": "abc // c\n}\n')
+        with pytest.raises(ConfigError, match="not valid JSON"):
+            load_config(bad)
+        assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+
 
 class TestApplyOverrides:
     def test_dotted_path(self):
@@ -187,7 +202,7 @@ class TestEffectiveConfig:
         assert list(eff) == ["cells", "converter", "charger", "controller", "run"]
         for cell in eff["cells"]:
             assert list(cell) == names(CellState) + names(CellParams)
-        assert list(eff["converter"]) == [n for n in names(ConverterParams) if n != "n_cells"]
+        assert list(eff["converter"]) == names(ConverterParams)
         assert list(eff["charger"]) == names(ChargerConfig)
         assert list(eff["controller"]) == names(ControllerConfig)
         nested = ("cells", "converter", "charger", "controller")
@@ -521,6 +536,36 @@ class TestSimulateCommand:
         assert r.returncode == 0, r.stderr
         dumped = json.loads((tmp_path / "run" / "effective_config.json").read_text())
         assert dumped == effective_config({"run": {"max_time": 0}})
+
+
+GENERATED_CONFIGS = st.fixed_dictionaries({
+    "cells": st.lists(
+        st.fixed_dictionaries({"soc": st.floats(0.05, 0.95)}), min_size=4, max_size=8
+    ),
+    "converter": st.fixed_dictionaries({
+        "magnetizing_inductance": st.floats(1e-3, 0.5),
+        "turns_primary": st.integers(1, 3),
+        "turns_secondary": st.integers(1, 8),
+        "peak_current": st.floats(5.0, 10.0) | st.just(0.0),
+    }),
+    "run": st.fixed_dictionaries({
+        "policy": st.sampled_from(["ampc", "greedy", "none"]),
+        "max_time": st.sampled_from([1.0, 0.0]),
+    }),
+})
+
+
+class TestGeneratedConfigs:
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @given(GENERATED_CONFIGS)
+    def test_simulate_exits_0_or_2(self, config):
+        # L * I >= 5e-3 keeps a 1 s run under ~1000 converter cycles; a zero
+        # peak current idles in 1 s steps
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "config.json"
+            path.write_text(json.dumps(config))
+            code = main(["simulate", "--config", str(path), "--out", str(Path(tmp) / "run")])
+        assert code in (0, 2)
 
 
 class TestSweepCommand:

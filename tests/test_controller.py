@@ -67,7 +67,7 @@ def random_scoring_states(count: int, seed: int):
         if not should_balance(voltages, CFG):
             continue
         ests = rls.init(
-            [theta0 + rng.normal(0.0, (0.05, 0.2, 0.05)) for _ in range(4)], 1e6
+            [theta0 + rng.normal(0.0, (0.05, 0.2, 0.05)) for _ in range(4)], 1e6, 0.995
         )
         accumulators = rng.uniform(-500.0, 500.0, size=4).tolist()
         capacities = rng.uniform(2000.0, 4000.0, size=4).tolist()
@@ -375,7 +375,7 @@ class TestVectorizedScoring:
 
     def test_nan_theta_keeps_the_scan_pick(self):
         voltages, ests, accumulators, capacities, i_ext = self.STATES[0]
-        ests = rls.init(ests.theta, 1e6)
+        ests = rls.init(ests.theta, 1e6, 0.995)
         ests.theta[1, 0] = np.nan
         d = select_plan(voltages, ests, accumulators, i_ext, CONV, CFG, capacities=capacities)
         ref = reference_stds(CONV, voltages, ests, accumulators, capacities, i_ext, d.ranking)

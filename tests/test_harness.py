@@ -25,6 +25,7 @@ from cellbal import (
     std,
     summarize,
 )
+from cellbal.cli import read_trace, write_trace
 from cellbal.harness import INACTIVE_BITS
 from conftest import make_stock_scenario
 
@@ -140,10 +141,16 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match="at least 4"):
             ScenarioConfig(cells=cells, converter=ConverterParams(magnetizing_inductance=0.01))
 
-    def test_converter_size_mismatch(self):
-        cells = [(representative_cell_params(), CellState(soc=0.5))] * 5
-        with pytest.raises(ValueError, match="sized for"):
-            ScenarioConfig(cells=cells, converter=ConverterParams(magnetizing_inductance=0.01))
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_cell_list_sets_the_stack_size(self, n, tmp_path):
+        # the default converter runs any stack; its trace rows hold every cell
+        cells = [(representative_cell_params(), CellState(soc=0.6 - 0.04 * j)) for j in range(n)]
+        trace, _ = run_scenario(
+            ScenarioConfig(cells=cells, converter=ConverterParams(), max_time=2.0)
+        )
+        assert any(r.candidate_bits != INACTIVE_BITS for r in trace)
+        write_trace(tmp_path / "trace.csv", trace, n)
+        assert {len(r.voltage) for r in read_trace(tmp_path / "trace.csv")} == {n}
 
     @pytest.mark.parametrize(
         "overrides",

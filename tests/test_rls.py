@@ -20,7 +20,6 @@ class TestInit:
         est = rls.init((0.0, 0.0, 0.0), 1e6, 1.0)
         assert np.array_equal(est.covariance, 1e6 * np.eye(3))
         assert np.array_equal(est.theta, np.zeros(3))
-        assert est.sample_count == 0
         assert est.forgetting_factor == 1.0
 
     def test_theta_is_copied(self):
@@ -83,7 +82,6 @@ class TestUpdate:
         assert np.array_equal(out.theta, est.theta)
         # covariance still shrinks along the regressor direction
         assert float(x @ out.covariance @ x) < float(x @ est.covariance @ x)
-        assert out.sample_count == 1
 
     def test_single_step_hand_value(self):
         est = rls.update(rls.init(np.zeros(3), 1e6, 1.0), np.array([1.0, 0.0, 0.0]), 4.0)
