@@ -31,7 +31,6 @@ from .harness import (
     Summary,
     TraceRecord,
     cc_cv_current,
-    greedy_baseline_plan,
     run_scenario,
     summarize,
 )

@@ -28,7 +28,7 @@ import sys
 import typing
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 from .controller import ControllerConfig
 from .ecm import CellParams, CellState, representative_cell_params
@@ -289,16 +289,24 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def write_trace(path: str | Path, trace: Sequence[TraceRecord], n_cells: int) -> None:
+def _write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
     """One comma join and CRLF per row: ``csv.writer``'s bytes, as no field needs quoting."""
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(trace_header(n_cells)) + "\r\n")
-        for r in trace:
-            row = [_fmt(r.time), str(r.cycle)]
-            for k in range(n_cells):
-                row += map(_fmt, (r.soc[k], r.voltage[k], r.current[k], *r.theta[k]))
-            row += (r.candidate_bits, _fmt(r.voltage_std), _fmt(r.charger_current))
+        fh.write(",".join(header) + "\r\n")
+        for row in rows:
             fh.write(",".join(row) + "\r\n")
+
+
+def _trace_row(r: TraceRecord, n_cells: int) -> list[str]:
+    row = [_fmt(r.time), str(r.cycle)]
+    for k in range(n_cells):
+        row += map(_fmt, (r.soc[k], r.voltage[k], r.current[k], *r.theta[k]))
+    row += (r.candidate_bits, _fmt(r.voltage_std), _fmt(r.charger_current))
+    return row
+
+
+def write_trace(path: str | Path, trace: Sequence[TraceRecord], n_cells: int) -> None:
+    _write_csv(path, trace_header(n_cells), (_trace_row(r, n_cells) for r in trace))
 
 
 def read_trace(path: str | Path) -> list[TraceRecord]:
@@ -397,10 +405,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 _COMPARISON_COLUMNS = ["policy"] + [f.name for f in dataclasses.fields(Summary)]
 
 
-def _run_one_policy(effective: dict, policy: str) -> tuple[list[TraceRecord], Summary]:
-    return run_scenario(build_scenario(effective, policy=policy))
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
     eff = _load_effective(args)
     policies = eff["run"]["policies"]
@@ -409,22 +413,18 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if len(set(policies)) != len(policies):
         raise ConfigError(f"duplicate policy names in run.policies: {policies}")
     # fail fast on a bad policy name or cell/converter config before any run
-    for p in policies:
-        build_scenario(eff, policy=p)
+    scenarios = {p: build_scenario(eff, policy=p) for p in policies}
     out = _resolve_out(args.out, "sweep")
 
     jobs = max(1, args.jobs)
-    results: dict[str, tuple[list[TraceRecord], Summary]] = {}
     if jobs == 1 or len(policies) == 1:
-        for p in policies:
-            results[p] = _run_one_policy(eff, p)
+        results = {p: run_scenario(s) for p, s in scenarios.items()}
     else:
         with concurrent.futures.ProcessPoolExecutor(
             max_workers=min(jobs, len(policies))
         ) as pool:
-            futures = {p: pool.submit(_run_one_policy, eff, p) for p in policies}
-            for p, fut in futures.items():
-                results[p] = fut.result()
+            futures = {p: pool.submit(run_scenario, s) for p, s in scenarios.items()}
+            results = {p: fut.result() for p, fut in futures.items()}
 
     n_cells = len(eff["cells"])
     for p in policies:
@@ -434,16 +434,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         write_trace(sub / "trace.csv", trace, n_cells)
         _write_json(sub / "summary.json", dataclasses.asdict(summary))
 
-    with open(out / "comparison.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(_COMPARISON_COLUMNS)
-        for p in policies:
-            summary = results[p][1]
-            row = [p]
-            for f in dataclasses.fields(Summary):
-                value = getattr(summary, f.name)
-                row.append("" if value is None else _fmt(value))
-            w.writerow(row)
+    _write_csv(out / "comparison.csv", _COMPARISON_COLUMNS, (
+        [p, *("" if v is None else _fmt(v) for v in dataclasses.astuple(results[p][1]))]
+        for p in policies
+    ))
     if args.dump_config:
         _write_json(out / "effective_config.json", eff)
     print(f"wrote {out / 'comparison.csv'} ({len(policies)} policies)")
@@ -507,11 +501,9 @@ def cmd_identify(args: argparse.Namespace) -> int:
     scenario = build_scenario(_load_effective(args))
     rows = replay_identification(trace, scenario)
     out = _resolve_out(args.out, "identify")
-    with open(out / "identification.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(_IDENT_COLUMNS)
-        for t, cell, t1, t2, t3, err in rows:
-            w.writerow([_fmt(t), str(cell), _fmt(t1), _fmt(t2), _fmt(t3), _fmt(err)])
+    _write_csv(out / "identification.csv", _IDENT_COLUMNS, (
+        [_fmt(t), str(cell), *map(_fmt, values)] for t, cell, *values in rows
+    ))
     final_err = max(abs(r[5]) for r in rows[-len(scenario.cells):])
     print(f"wrote {out / 'identification.csv'}; final |prediction error| {final_err:.3e} V")
     return 0
@@ -533,11 +525,9 @@ def cmd_export_plots(args: argparse.Namespace) -> int:
         ("extreme_voltages_vs_time.csv", "voltage_v", (hi, lo), lambda r, j: r.voltage[j]),
     )
     for name, column, plot_cells, value in plots:
-        with open(out / name, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["time_s", "cell", column])
-            for r in trace:
-                w.writerows([_fmt(r.time), str(j + 1), _fmt(value(r, j))] for j in plot_cells)
+        _write_csv(out / name, ["time_s", "cell", column], (
+            [_fmt(r.time), str(j + 1), _fmt(value(r, j))] for r in trace for j in plot_cells
+        ))
     print(f"wrote {len(plots)} plot files to {out}")
     return 0
 
@@ -593,10 +583,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, TraceFormatError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (ConfigError, TraceFormatError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:  # noqa: BLE001 - the contract pins exit code 3

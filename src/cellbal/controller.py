@@ -21,6 +21,10 @@ from . import rls
 from .ecm import CellParams, CellState, step_exact, terminal_voltage
 from .flyback import ConverterParams, SwitchPlan, charge_table
 
+# "ampc" scores all 16 schedules; "greedy" runs schedule 0 on the top three
+# cells unscored; "none" never balances.
+POLICIES = ("ampc", "greedy", "none")
+
 
 @dataclass(frozen=True)
 class ControllerConfig:
@@ -151,15 +155,20 @@ def select_plan(
     *,
     capacities: Optional[Sequence[float]] = None,
     plant: Optional[Sequence[tuple[CellParams, CellState]]] = None,
+    policy: str = "ampc",
 ) -> Decision:
-    """Evaluate the trigger and, when active, pick the argmin schedule.
+    """Evaluate the trigger and, when active, pick the policy's schedule.
 
-    Ties go to the lowest schedule index, so equal predictions select the
-    all-off schedule 0.
+    Only ``ampc`` scores the candidates, and its ties go to the lowest
+    schedule index, so equal predictions select the all-off schedule 0.
     """
+    if policy not in POLICIES:
+        raise ValueError(f"policy must be one of {', '.join(POLICIES)}, got {policy!r}")
     ranking = rank_cells(voltages)
-    if not should_balance(voltages, cfg):
+    if policy == "none" or not should_balance(voltages, cfg):
         return Decision(None, (), ranking)
+    if policy == "greedy":
+        return Decision(SwitchPlan(*ranking[:3]), (), ranking)
 
     if cfg.prediction_source == "plant":
         if plant is None:

@@ -19,14 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import rls
-from .controller import (
-    ControllerConfig,
-    Decision,
-    rank_cells,
-    select_plan,
-    should_balance,
-    std,
-)
+from .controller import POLICIES, ControllerConfig, select_plan, std
 from .ecm import CellParams, CellState, step_exact, terminal_voltage
 from .flyback import ConverterParams, SwitchPlan, cycle_charge_deltas, nominal_cycle
 
@@ -43,7 +36,7 @@ class ChargerConfig:
 
     mode: str = "cc_cv"              # "cc_cv" | "idle"
     cc_current: float = -0.4         # amperes, stack level
-    cv_voltage: float = 15.2         # volts, stack level
+    cv_cell_voltage: float = 3.8     # volts per cell; the stack setpoint is n times this
     cutoff_current: float = 0.05     # amperes magnitude ending the CV taper
     cell_voltage_limit: float = 4.2  # per-cell guard, volts
 
@@ -57,8 +50,8 @@ class ChargerConfig:
                 raise ValueError("cutoff_current must be >= 0")
             if not abs(self.cc_current) > self.cutoff_current:
                 raise ValueError("|cc_current| must exceed cutoff_current")
-            if not self.cv_voltage > 0.0:
-                raise ValueError("cv_voltage must be positive")
+            if not self.cv_cell_voltage > 0.0:
+                raise ValueError("cv_cell_voltage must be positive")
             limit = self.cell_voltage_limit
             if not (limit > 0.0 and math.isfinite(limit)):
                 raise ValueError(f"cell_voltage_limit must be positive and finite, got {limit!r}")
@@ -98,22 +91,18 @@ def cc_cv_current(
             return 0.0
     if state.phase == "done":
         return 0.0
+    cv_voltage = len(cell_voltages) * charger.cv_cell_voltage
     if state.phase == "cc":
         v_at_cc = stack_voltage - stack_resistance * charger.cc_current
-        if v_at_cc < charger.cv_voltage:
+        if v_at_cc < cv_voltage:
             return charger.cc_current
         state.phase = "cv"
-    i = (stack_voltage - charger.cv_voltage) / stack_resistance
+    i = (stack_voltage - cv_voltage) / stack_resistance
     i = max(charger.cc_current, min(0.0, i))
     if abs(i) < charger.cutoff_current:
         state.phase = "done"
         return 0.0
     return i
-
-
-def greedy_baseline_plan(voltages: Sequence[float], ranking=None) -> SwitchPlan:
-    """Reference policy: only the highest cell (``ranking[0]`` if given), no auxiliary windows."""
-    return SwitchPlan(*(ranking or rank_cells(voltages))[:3])
 
 
 @dataclass
@@ -123,7 +112,7 @@ class ScenarioConfig:
     cells: list[tuple[CellParams, CellState]]
     converter: ConverterParams
     charger: ChargerConfig = ChargerConfig()
-    policy: str = "ampc"                 # "ampc" | "greedy" | "none"
+    policy: str = "ampc"                 # one of controller.POLICIES
     controller: ControllerConfig = ControllerConfig()
     forgetting_factor: float = 0.995
     initial_covariance: float = 1e6
@@ -141,8 +130,8 @@ class ScenarioConfig:
             v = terminal_voltage(p, s, 0.0)  # at rest
             if not 0.0 < v <= 2.0 * p.v_max:
                 raise ValueError(f"cell {j} starts at {v:.4g} V, outside (0, {2 * p.v_max:.4g}] V")
-        if self.policy not in ("ampc", "greedy", "none"):
-            raise ValueError(f"policy must be ampc, greedy or none, got {self.policy!r}")
+        if self.policy not in POLICIES:
+            raise ValueError(f"policy must be one of {', '.join(POLICIES)}, got {self.policy!r}")
         if self.max_time < 0.0 or not math.isfinite(self.max_time):
             raise ValueError("max_time must be >= 0 and finite")
         if not self.max_time + self.idle_dt > self.max_time:  # every idle step moves the clock
@@ -310,6 +299,7 @@ class Simulation:
             self.params, cfg.warm_start, cfg.initial_covariance, cfg.forgetting_factor
         )
         self.charger_state = ChargerState()
+        self._charged = False  # the charger has drawn current at least once
         self.noise_rng = np.random.Generator(np.random.PCG64(cfg.seed))
         self.time = 0.0
         self.cycle = 0
@@ -323,12 +313,18 @@ class Simulation:
     # -- helpers ---------------------------------------------------------
 
     def _charger_current(self, rest: list[float]) -> float:
-        was_tripped = self.charger_state.guard_tripped
-        i = cc_cv_current(self.cfg.charger, sum(rest), self._r_stack, rest, self.charger_state)
-        if self.charger_state.guard_tripped and not was_tripped:
+        state = self.charger_state
+        was_done, was_tripped = state.phase == "done", state.guard_tripped
+        i = cc_cv_current(self.cfg.charger, sum(rest), self._r_stack, rest, state)
+        if state.guard_tripped and not was_tripped:
             self.events.append(
                 (self.time, "charger_guard", "cell over limit, charger latched off")
             )
+        elif state.phase == "done" and not was_done and not self._charged:
+            self.events.append(
+                (self.time, "charger", "stack at its CV setpoint before any charge, latched off")
+            )
+        self._charged = self._charged or i != 0.0
         return i
 
     def _measure(self) -> tuple[list[float], list[float], float]:
@@ -360,20 +356,16 @@ class Simulation:
             v_meas = list(v_true)
         return v_true, v_meas, i_ext
 
-    def _decide(self, v_meas: Sequence[float], i_ext: float) -> Decision:
+    def _decide(self, v_meas: Sequence[float], i_ext: float) -> Optional[SwitchPlan]:
         cfg = self.cfg
-        if cfg.policy == "none":
-            return Decision(None, (), rank_cells(v_meas))
-        faulty = [j for j, v in enumerate(v_meas) if not v > 0.0]
-        if faulty:  # a sensor fault, not a cell state: nothing is scored or run on it
+        # a sensor fault, not a cell state: nothing is scored or run on it
+        # (a policy that never balances has nothing to refuse)
+        faulty = [] if cfg.policy == "none" else [j for j, v in enumerate(v_meas) if not v > 0.0]
+        if faulty:
             self.events += [
                 (self.time, "measurement_fault", f"cell {j} read {v_meas[j]:.4f} V") for j in faulty
             ]
-            return Decision(None, (), rank_cells(v_meas))
-        if cfg.policy == "greedy":
-            ranking = rank_cells(v_meas)
-            active = should_balance(v_meas, cfg.controller)
-            return Decision(greedy_baseline_plan(v_meas, ranking) if active else None, (), ranking)
+            return None
         return select_plan(
             v_meas,
             self.estimator,
@@ -383,7 +375,8 @@ class Simulation:
             cfg.controller,
             capacities=self.capacities,
             plant=list(zip(self.params, self.states)),
-        )
+            policy=cfg.policy,
+        ).plan
 
     def _record(self, rec: TraceRecord) -> None:
         self.totals.add(rec)
@@ -437,9 +430,7 @@ class Simulation:
         x = rls.build_regressor(reg_currents, self.accumulators, self.capacities)
         self.estimator = rls.update(self.estimator, x, v_meas)
 
-        decision = self._decide(v_meas, i_ext)
-
-        plan = decision.plan
+        plan = self._decide(v_meas, i_ext)
         if plan is None and self.charger_state.phase == "done":
             self._finish()
             return None

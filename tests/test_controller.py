@@ -275,10 +275,21 @@ class TestSelectPlan:
     def test_chosen_plan_attains_the_minimum(self):
         sim = harness.Simulation(make_stock_scenario("ampc"))
         sim.step()
-        d = sim._decide(
-            [4.0, 3.92, 3.89, 3.86], -0.4
+        d = select_plan(
+            [4.0, 3.92, 3.89, 3.86], sim.estimator, sim.accumulators, -0.4, sim.cfg.converter,
+            sim.cfg.controller, capacities=sim.capacities,
         )
         assert d.predicted_std[d.plan.schedule] == min(d.predicted_std)
+
+    def test_none_never_balances(self):
+        voltages = (4.0, 3.9, 3.85, 3.8)
+        assert should_balance(voltages, CFG)
+        d = select_plan(voltages, None, None, 0.0, CONV, CFG, policy="none")
+        assert d == controller.Decision(None, (), rank_cells(voltages))
+
+    def test_unknown_policy_rejected(self):
+        with pytest.raises(ValueError, match="'pid'"):
+            select_plan((4.0, 4.0, 4.0, 4.0), None, None, 0.0, CONV, CFG, policy="pid")
 
     def test_missing_inputs_rejected(self):
         with pytest.raises(ValueError, match="plant"):

@@ -6,11 +6,13 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cellbal import (
     CellState,
     ChargerConfig,
     ChargerState,
+    ControllerConfig,
     ConverterParams,
     ScenarioConfig,
     Simulation,
@@ -18,10 +20,10 @@ from cellbal import (
     TraceRecord,
     cc_cv_current,
     cycle_charge_deltas,
-    greedy_baseline_plan,
     rank_cells,
     representative_cell_params,
     run_scenario,
+    select_plan,
     std,
     summarize,
 )
@@ -111,6 +113,12 @@ class TestCcCvCurrent:
         assert i == 0.0
         assert state.phase == "done"
 
+    def test_setpoint_follows_the_cell_count(self):
+        # six cells resting at 3.6 V sit 1.2 V under their 22.8 V setpoint
+        state = ChargerState()
+        assert cc_cv_current(self.CFG, 21.6, 6 * 0.07, (3.6,) * 6, state) == -0.4
+        assert state.phase == "cc"
+
     def test_cell_guard_trips(self):
         state = ChargerState()
         i = cc_cv_current(self.CFG, 14.0, R_TOT, (3.5, 4.201, 3.5, 3.5), state)
@@ -129,7 +137,10 @@ class TestCcCvCurrent:
 
 class TestGreedyBaseline:
     def test_targets_highest_cell(self):
-        plan = greedy_baseline_plan((3.9, 4.1, 4.0, 4.05))
+        plan = select_plan(
+            (3.9, 4.1, 4.0, 4.05), None, None, 0.0, ConverterParams(), ControllerConfig(),
+            policy="greedy",
+        ).plan
         assert plan.target_cell == 1
         assert (plan.second_cell, plan.third_cell) == (3, 2)
         assert plan.schedule == 0
@@ -289,7 +300,7 @@ class TestRunScenario:
         cfg = make_stock_scenario(
             "none",
             cells=cells,
-            charger=ChargerConfig(cv_voltage=16.4),
+            charger=ChargerConfig(cv_cell_voltage=4.1),
             max_time=12.0,
         )
         sim = Simulation(cfg)
@@ -322,6 +333,28 @@ class TestRunScenario:
         assert sim.events and sim.events[0][1] == "charger_guard"
         assert sim.time == 0.0
 
+    def test_six_cell_stack_draws_charger_current(self):
+        cells = [(representative_cell_params(), CellState(soc=0.6 - 0.04 * j)) for j in range(6)]
+        sim = Simulation(make_stock_scenario(cells=cells, max_time=20.0))
+        sim.run()
+        assert sim.trace and all(rec.charger_current == -0.4 for rec in sim.trace)
+        assert sim.events == []
+
+    def test_charger_done_before_charging_is_an_event(self):
+        # the stock stack rests near 14.4 V, above a 4 x 3.0 V setpoint
+        sim = Simulation(make_stock_scenario("none", charger=ChargerConfig(cv_cell_voltage=3.0)))
+        sim.run()
+        assert sim.trace == []
+        assert [ev[:2] for ev in sim.events] == [(0.0, "charger")]
+
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @given(st.lists(st.floats(0.05, 0.75), min_size=4, max_size=12))
+    def test_generated_stacks_below_the_setpoint_draw_cc_current(self, socs):
+        # each cell rests under 3.77 V, so it sits under 3.8 V at the CC current
+        cells = [(representative_cell_params(), CellState(soc=s)) for s in socs]
+        rec = Simulation(make_stock_scenario(cells=cells, max_time=1.0)).step()
+        assert rec.charger_current == ChargerConfig().cc_current
+
     def test_negative_measurement_is_a_fault_not_a_decision(self):
         # 4 V of noise on ~3.7 V cells reads negative within a few steps
         sim = Simulation(make_stock_scenario(noise_std=4.0, seed=3, max_time=60.0))
@@ -351,7 +384,7 @@ class TestRunScenario:
     def test_greedy_ranks_once_per_step(self, monkeypatch):
         calls = []
         monkeypatch.setattr(
-            "cellbal.harness.rank_cells", lambda v: calls.append(1) or rank_cells(v)
+            "cellbal.controller.rank_cells", lambda v: calls.append(1) or rank_cells(v)
         )
         sim = Simulation(make_stock_scenario("greedy", max_time=5.0))
         steps = 0
