@@ -23,6 +23,7 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import re
 import sys
 import typing
@@ -36,9 +37,9 @@ from .flyback import ConverterParams
 from .harness import (
     ChargerConfig,
     ScenarioConfig,
+    Simulation,
     Summary,
     TraceRecord,
-    run_scenario,
 )
 from . import rls
 
@@ -289,12 +290,25 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
-    """One comma join and CRLF per row: ``csv.writer``'s bytes, as no field needs quoting."""
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for row in rows:
-            fh.write(",".join(row) + "\r\n")
+def _write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[str]]) -> int:
+    """One comma join and CRLF per row: ``csv.writer``'s bytes, as no field needs quoting.
+    Returns the row count.  The rows may be produced while they are written, so
+    they go to a sibling ``.partial`` file that replaces ``path`` only once the
+    last one is in; if producing them raises, no file is left behind."""
+    partial = f"{path}.partial"
+    fh = open(partial, "w", newline="")
+    count = 0
+    try:
+        with fh:
+            fh.write(",".join(header) + "\r\n")
+            for row in rows:
+                fh.write(",".join(row) + "\r\n")
+                count += 1
+    except BaseException:
+        os.unlink(partial)
+        raise
+    os.replace(partial, path)
+    return count
 
 
 def _trace_row(r: TraceRecord, n_cells: int) -> list[str]:
@@ -305,8 +319,10 @@ def _trace_row(r: TraceRecord, n_cells: int) -> list[str]:
     return row
 
 
-def write_trace(path: str | Path, trace: Sequence[TraceRecord], n_cells: int) -> None:
-    _write_csv(path, trace_header(n_cells), (_trace_row(r, n_cells) for r in trace))
+def write_trace(path: str | Path, rows: Iterable[TraceRecord], n_cells: int) -> int:
+    """Write the rows of any iterable, such as :meth:`Simulation.stream`, as
+    they come; returns the row count."""
+    return _write_csv(path, trace_header(n_cells), (_trace_row(r, n_cells) for r in rows))
 
 
 def read_trace(path: str | Path) -> list[TraceRecord]:
@@ -393,13 +409,24 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     eff = _load_effective(args)
     scenario = build_scenario(eff)
     out = _resolve_out(args.out, "simulate")
-    trace, summary = run_scenario(scenario)
-    write_trace(out / "trace.csv", trace, len(scenario.cells))
-    _write_json(out / "summary.json", dataclasses.asdict(summary))
+    sim = Simulation(scenario)
+    rows = write_trace(out / "trace.csv", sim.stream(), len(scenario.cells))
+    _write_json(out / "summary.json", dataclasses.asdict(sim.totals.summary()))
     if args.dump_config:
         _write_json(out / "effective_config.json", eff)
-    print(f"wrote {out / 'trace.csv'} ({len(trace)} rows) and {out / 'summary.json'}")
+    print(f"wrote {out / 'trace.csv'} ({rows} rows) and {out / 'summary.json'}")
     return 0
+
+
+def _run_policy(scenario: ScenarioConfig, out: Path) -> Summary:
+    """Run one sweep policy, streaming ``out/trace.csv``, then write
+    ``out/summary.json``; only the Summary goes back to a sweep's parent."""
+    out.mkdir(exist_ok=True)
+    sim = Simulation(scenario)
+    write_trace(out / "trace.csv", sim.stream(), len(scenario.cells))
+    summary = sim.totals.summary()
+    _write_json(out / "summary.json", dataclasses.asdict(summary))
+    return summary
 
 
 _COMPARISON_COLUMNS = ["policy"] + [f.name for f in dataclasses.fields(Summary)]
@@ -418,24 +445,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     jobs = max(1, args.jobs)
     if jobs == 1 or len(policies) == 1:
-        results = {p: run_scenario(s) for p, s in scenarios.items()}
+        summaries = {p: _run_policy(s, out / p) for p, s in scenarios.items()}
     else:
         with concurrent.futures.ProcessPoolExecutor(
             max_workers=min(jobs, len(policies))
         ) as pool:
-            futures = {p: pool.submit(run_scenario, s) for p, s in scenarios.items()}
-            results = {p: fut.result() for p, fut in futures.items()}
-
-    n_cells = len(eff["cells"])
-    for p in policies:
-        sub = out / p
-        sub.mkdir(exist_ok=True)
-        trace, summary = results[p]
-        write_trace(sub / "trace.csv", trace, n_cells)
-        _write_json(sub / "summary.json", dataclasses.asdict(summary))
+            futures = {p: pool.submit(_run_policy, s, out / p) for p, s in scenarios.items()}
+            summaries = {p: fut.result() for p, fut in futures.items()}
 
     _write_csv(out / "comparison.csv", _COMPARISON_COLUMNS, (
-        [p, *("" if v is None else _fmt(v) for v in dataclasses.astuple(results[p][1]))]
+        [p, *("" if v is None else _fmt(v) for v in dataclasses.astuple(summaries[p]))]
         for p in policies
     ))
     if args.dump_config:

@@ -91,14 +91,17 @@ def update(est: RlsEstimator, x, y) -> RlsEstimator:
     like its leading axes; returns a new estimator."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if x.shape != est.theta.shape or not np.isfinite(x).all():
-        raise ValueError(f"regressor must be finite with shape {est.theta.shape}")
-    if y.shape != est.theta.shape[:-1] or not np.isfinite(y).all():
-        raise ValueError(f"measurement must be finite with shape {est.theta.shape[:-1]}")
+    if x.shape != est.theta.shape:
+        raise ValueError(f"regressor must have shape {est.theta.shape}")
+    if y.shape != est.theta.shape[:-1]:
+        raise ValueError(f"measurement must have shape {est.theta.shape[:-1]}")
+    innovation = y - _dot(x, est.theta)
+    # theta is finite, so a non-finite x or y always leaves a non-finite innovation
+    if not np.isfinite(innovation).all():
+        raise ValueError("regressor and measurement must be finite")
     lam = est.forgetting_factor
     px = (est.covariance @ x[..., None])[..., 0]
     gain = px / (lam + _dot(x, px))[..., None]
-    innovation = y - _dot(x, est.theta)
     theta = est.theta + gain * innovation[..., None]
     # x' P == (P x)' because P is kept symmetric.
     cov = est.covariance - gain[..., :, None] * px[..., None, :]

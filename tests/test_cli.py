@@ -21,7 +21,9 @@ from cellbal import (
     ControllerConfig,
     ConverterParams,
     ScenarioConfig,
+    Simulation,
     TraceRecord,
+    harness,
     run_scenario,
     std,
     summarize,
@@ -538,6 +540,69 @@ class TestSimulateCommand:
         assert dumped == effective_config({"run": {"max_time": 0}})
 
 
+class TestStreamedSimulate:
+    """simulate writes trace.csv as the run proceeds, one block of rows at a
+    time, with the bytes of the whole-trace write."""
+
+    CASES = {
+        "long": ["charger.mode=idle", "run.max_time=60"],
+        "thinned": ["charger.mode=idle", "run.max_time=300", "run.record_every=7"],
+        "noisy": ["run.max_time=60", "run.noise_std=0.005", "run.seed=3"],
+        "empty": ["run.max_time=0"],
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_matches_whole_trace_write(self, tmp_path, monkeypatch, case):
+        sets = self.CASES[case]
+        held = []
+        step = Simulation.step
+
+        def spy(sim):
+            rec = step(sim)
+            held.append(len(sim.trace))
+            return rec
+
+        monkeypatch.setattr(Simulation, "step", spy)
+        args = [a for s in sets for a in ("--set", s)]
+        assert main(["simulate", *args, "--out", str(tmp_path / "run")]) == 0
+        monkeypatch.undo()
+        assert max(held) <= harness._TRACE_BLOCK
+
+        scenario = build_scenario(effective_config(apply_overrides(effective_config({}), sets)))
+        trace, summary = run_scenario(scenario)
+        write_trace(tmp_path / "ref.csv", trace, 4)
+        assert (tmp_path / "run" / "trace.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        summary_text = json.dumps(dataclasses.asdict(summary), indent=2) + "\n"
+        assert (tmp_path / "run" / "summary.json").read_text() == summary_text
+        if case == "empty":
+            assert trace == []
+        else:
+            assert len(trace) > 2 * harness._TRACE_BLOCK
+        if case == "long":
+            assert max(held) == harness._TRACE_BLOCK
+        if case == "thinned":
+            assert trace[-1].cycle % 7 != 0  # the final row, off the thinning grid
+
+    def test_failed_run_leaves_no_file(self, tmp_path, monkeypatch):
+        calls = 0
+        real = harness.step_exact
+
+        def failing(*args):
+            nonlocal calls
+            calls += 1
+            if calls > 4 * (2 * harness._TRACE_BLOCK + 10):  # two blocks written already
+                raise RuntimeError("injected plant fault")
+            return real(*args)
+
+        monkeypatch.setattr(harness, "step_exact", failing)
+        out = tmp_path / "run"
+        code = main(["simulate", "--set", "charger.mode=idle", "--set", "run.max_time=60",
+                     "--out", str(out)])
+        assert code == 3
+        assert calls > 4 * (2 * harness._TRACE_BLOCK + 10)
+        assert list(out.iterdir()) == []
+
+
 GENERATED_CONFIGS = st.fixed_dictionaries({
     "cells": st.lists(
         st.fixed_dictionaries({"soc": st.floats(0.05, 0.95)}), min_size=4, max_size=8
@@ -588,9 +653,11 @@ class TestSweepCommand:
         r1 = cli(*base, "--out", str(tmp_path / "s1"), cwd=tmp_path)
         r2 = cli(*base, "--jobs", "2", "--out", str(tmp_path / "s2"), cwd=tmp_path)
         assert r1.returncode == 0 and r2.returncode == 0, r1.stderr + r2.stderr
-        a = (tmp_path / "s1" / "comparison.csv").read_bytes()
-        b = (tmp_path / "s2" / "comparison.csv").read_bytes()
-        assert a == b
+        for name in ("comparison.csv", *(f"{p}/{f}" for p in ("ampc", "greedy")
+                                         for f in ("trace.csv", "summary.json"))):
+            a = (tmp_path / "s1" / name).read_bytes()
+            b = (tmp_path / "s2" / name).read_bytes()
+            assert a == b, name
 
     @pytest.mark.parametrize("command", ["simulate", "identify", "export-plots"])
     def test_jobs_is_a_sweep_option(self, capsys, command):

@@ -119,6 +119,12 @@ class TestUpdate:
         with pytest.raises(ValueError):
             rls.update(est, np.ones(4), 1.0)
 
+    def test_infinite_regressor_against_zero_theta_rejected(self):
+        # inf * 0 is nan in x . theta, so the innovation still flags it (numpy warns first)
+        est = rls.init(np.array([0.0, 1.0, 2.0]), 1e6, 1.0)
+        with pytest.raises(ValueError), np.errstate(invalid="ignore"):
+            rls.update(est, np.array([np.inf, 0.0, 1.0]), 1.0)
+
 
 class TestPredict:
     def test_constant_model(self):
