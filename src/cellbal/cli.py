@@ -17,10 +17,13 @@ Exit codes: 0 success, 2 user/config error, 3 internal fault.
 from __future__ import annotations
 
 import argparse
+import collections
 import concurrent.futures
+import contextlib
 import copy
 import csv
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -29,7 +32,9 @@ import sys
 import typing
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .controller import ControllerConfig
 from .ecm import CellParams, CellState, representative_cell_params
@@ -290,25 +295,42 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[str]]) -> int:
-    """One comma join and CRLF per row: ``csv.writer``'s bytes, as no field needs quoting.
+def _write_csv(
+    outputs: Sequence[tuple[str | Path, Sequence[str]]],
+    rows: Iterable[tuple[int, Sequence[str]]],
+) -> int:
+    """Write the CSV files ``outputs``, each a (path, header), in one pass over
+    ``rows``, whose items are (index into ``outputs``, fields).  One comma join
+    and CRLF per row: ``csv.writer``'s bytes, as no field needs quoting.
     Returns the row count.  The rows may be produced while they are written, so
-    they go to a sibling ``.partial`` file that replaces ``path`` only once the
-    last one is in; if producing them raises, no file is left behind."""
-    partial = f"{path}.partial"
-    fh = open(partial, "w", newline="")
+    each file goes to a sibling ``.partial`` file, and all of them replace their
+    paths only once the last row is in; if producing them raises, no file is
+    left behind."""
+    partials: list[str] = []
     count = 0
     try:
-        with fh:
-            fh.write(",".join(header) + "\r\n")
-            for row in rows:
-                fh.write(",".join(row) + "\r\n")
+        with contextlib.ExitStack() as stack:
+            writes = []
+            for path, header in outputs:
+                fh = stack.enter_context(open(f"{path}.partial", "w", newline=""))
+                partials.append(fh.name)
+                fh.write(",".join(header) + "\r\n")
+                writes.append(fh.write)
+            for k, row in rows:
+                writes[k](",".join(row) + "\r\n")
                 count += 1
     except BaseException:
-        os.unlink(partial)
+        for partial in partials:
+            os.unlink(partial)
         raise
-    os.replace(partial, path)
+    for partial, (path, _) in zip(partials, outputs):
+        os.replace(partial, path)
     return count
+
+
+def _one_file(rows: Iterable[Sequence[str]]) -> Iterator[tuple[int, Sequence[str]]]:
+    # rows for the single output of a _write_csv call
+    return zip(itertools.repeat(0), rows)
 
 
 def _trace_row(r: TraceRecord, n_cells: int) -> list[str]:
@@ -322,12 +344,20 @@ def _trace_row(r: TraceRecord, n_cells: int) -> list[str]:
 def write_trace(path: str | Path, rows: Iterable[TraceRecord], n_cells: int) -> int:
     """Write the rows of any iterable, such as :meth:`Simulation.stream`, as
     they come; returns the row count."""
-    return _write_csv(path, trace_header(n_cells), (_trace_row(r, n_cells) for r in rows))
+    return _write_csv(
+        [(path, trace_header(n_cells))], _one_file(_trace_row(r, n_cells) for r in rows)
+    )
 
 
 def read_trace(path: str | Path) -> list[TraceRecord]:
-    """The rows of a trace.csv, as the TraceRecords that were written; every
-    number must be finite."""
+    """The rows of a trace.csv, as the TraceRecords that were written."""
+    return list(iter_trace(path))
+
+
+def iter_trace(path: str | Path) -> Iterator[TraceRecord]:
+    """The rows of a trace.csv, as the TraceRecords that were written, one at
+    a time while the file is read; every number must be finite.  A malformed
+    line raises TraceFormatError, naming it, when the reader reaches it."""
     p = Path(path)
     if not p.is_file():
         raise TraceFormatError(f"trace file not found: {p}")
@@ -342,7 +372,6 @@ def read_trace(path: str | Path) -> list[TraceRecord]:
             raise TraceFormatError(f"{p}: line 1: unrecognized column count {len(header)}")
         if header != trace_header(extra // 6):
             raise TraceFormatError(f"{p}: line 1: header does not match the trace schema")
-        trace = []
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -373,8 +402,7 @@ def read_trace(path: str | Path) -> list[TraceRecord]:
                     if name not in ("cycle", "candidate_bits") and not math.isfinite(float(text))
                 )
                 raise TraceFormatError(f"{p}: line {line_no}: {name} is {text!r}, not finite")
-            trace.append(rec)
-    return trace
+            yield rec
 
 
 def _write_json(path: Path, data: Any) -> None:
@@ -453,7 +481,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             futures = {p: pool.submit(_run_policy, s, out / p) for p, s in scenarios.items()}
             summaries = {p: fut.result() for p, fut in futures.items()}
 
-    _write_csv(out / "comparison.csv", _COMPARISON_COLUMNS, (
+    _write_csv([(out / "comparison.csv", _COMPARISON_COLUMNS)], _one_file(
         [p, *("" if v is None else _fmt(v) for v in dataclasses.astuple(summaries[p]))]
         for p in policies
     ))
@@ -467,74 +495,86 @@ _IDENT_COLUMNS = ["time_s", "cell", "theta1", "theta2", "theta3", "prediction_er
 
 
 def replay_identification(
-    trace: Sequence[TraceRecord], scenario: ScenarioConfig
-) -> list[tuple[float, int, float, float, float, float]]:
+    records: Iterable[TraceRecord], scenario: ScenarioConfig
+) -> Iterator[tuple[float, int, float, float, float, float]]:
     """Re-run the scenario's online estimator over a recorded trace, one update
-    per cell and row, reporting each update's innovation.  As online, a row's
-    voltage pairs with the previous row's currents (the charger's on the first
-    row) and the charge they moved, so the thetas equal the recorded ones bit
-    for bit on every row but the last, which the run records without an update.
+    per cell and record, yielding each update's (time, cell, thetas,
+    innovation) as the records arrive.  As online, a row's voltage pairs with
+    the previous row's currents (the charger's on the first row) and the charge
+    they moved, so the thetas equal the recorded ones bit for bit on every row
+    but the last, which the run records without an update.
     """
     cells = [params for params, _ in scenario.cells]
-    if trace and len(trace[0].voltage) != len(cells):
-        raise ConfigError(
-            f"trace has {len(trace[0].voltage)} cells but the config defines {len(cells)}"
-        )
-    for a, b in zip(trace, trace[1:]):
-        if b.cycle != a.cycle + 1:
-            raise ConfigError(
-                f"trace skips from cycle {a.cycle} to {b.cycle}; identify needs run.record_every=1"
-            )
     est = rls.initial_estimators(
         cells, scenario.warm_start, scenario.initial_covariance, scenario.forgetting_factor
     )
-    capacities = [p.capacity_coulombs for p in cells]
+    capacities = np.array([p.capacity_coulombs for p in cells])
     charges = [0.0] * len(cells)
-    rows = []
-    for k, rec in enumerate(trace):
-        if k:
-            prev = trace[k - 1]
+    prev = None
+    for rec in records:
+        if prev is None:
+            if len(rec.voltage) != len(cells):
+                raise ConfigError(
+                    f"trace has {len(rec.voltage)} cells but the config defines {len(cells)}"
+                )
+            currents = [rec.charger_current] * len(cells)
+        else:
+            if rec.cycle != prev.cycle + 1:
+                raise ConfigError(
+                    f"trace skips from cycle {prev.cycle} to {rec.cycle}; "
+                    "identify needs run.record_every=1"
+                )
             currents, dt = prev.current, rec.time - prev.time
             charges = [q + i * dt for q, i in zip(charges, currents)]
-        else:
-            currents = [rec.charger_current] * len(cells)
         est = rls.update(est, rls.build_regressor(currents, charges, capacities), rec.voltage)
-        rows += [
-            (rec.time, j + 1, *theta, e)
-            for j, (theta, e) in enumerate(zip(est.theta.tolist(), est.innovation.tolist()))
-        ]
-    return rows
+        for j, (theta, e) in enumerate(zip(est.theta.tolist(), est.innovation.tolist())):
+            yield (rec.time, j + 1, *theta, e)
+        prev = rec
 
 
-def _read_rows(args: argparse.Namespace, command: str) -> list[TraceRecord]:
+def _peek(items: Iterator) -> tuple[Any, Iterator]:
+    """The first item, and an iterator over all of them; the first item is
+    produced (and every check on it run) before this returns."""
+    first = next(items)
+    return first, itertools.chain([first], items)
+
+
+def _trace_records(
+    args: argparse.Namespace, command: str
+) -> tuple[TraceRecord, Iterator[TraceRecord]]:
+    # the file, its header and its first row are checked before any output exists
     if args.trace is None:
         raise ConfigError(f"{command} requires --trace pointing at a trace.csv")
-    trace = read_trace(args.trace)
-    if not trace:
-        raise ConfigError(f"{args.trace}: trace has no data rows")
-    return trace
+    try:
+        return _peek(iter_trace(args.trace))
+    except StopIteration:
+        raise ConfigError(f"{args.trace}: trace has no data rows") from None
 
 
 def cmd_identify(args: argparse.Namespace) -> int:
-    trace = _read_rows(args, "identify")
+    _, records = _trace_records(args, "identify")
     scenario = build_scenario(_load_effective(args))
-    rows = replay_identification(trace, scenario)
+    # the first record's cell count is checked before the directory is made
+    _, rows = _peek(replay_identification(records, scenario))
     out = _resolve_out(args.out, "identify")
-    _write_csv(out / "identification.csv", _IDENT_COLUMNS, (
-        [_fmt(t), str(cell), *map(_fmt, values)] for t, cell, *values in rows
-    ))
-    final_err = max(abs(r[5]) for r in rows[-len(scenario.cells):])
-    print(f"wrote {out / 'identification.csv'}; final |prediction error| {final_err:.3e} V")
+    last_errors = collections.deque(maxlen=len(scenario.cells))
+
+    def fields():
+        for t, cell, *values in rows:
+            last_errors.append(abs(values[-1]))
+            yield [_fmt(t), str(cell), *map(_fmt, values)]
+
+    _write_csv([(out / "identification.csv", _IDENT_COLUMNS)], _one_file(fields()))
+    print(f"wrote {out / 'identification.csv'}; final |prediction error| {max(last_errors):.3e} V")
     return 0
 
 
 def cmd_export_plots(args: argparse.Namespace) -> int:
-    trace = _read_rows(args, "export-plots")
+    first, records = _trace_records(args, "export-plots")
     out = _resolve_out(args.out, "export-plots")
-    first = trace[0].voltage
-    cells = range(len(first))
-    hi = max(cells, key=lambda j: (first[j], -j))
-    lo = min(cells, key=lambda j: (first[j], j))
+    cells = range(len(first.voltage))
+    hi = max(cells, key=lambda j: (first.voltage[j], -j))
+    lo = min(cells, key=lambda j: (first.voltage[j], j))
     # (file, value column, cells, value); the balancing current leaves out the
     # charger's common-mode part
     plots = (
@@ -543,10 +583,16 @@ def cmd_export_plots(args: argparse.Namespace) -> int:
          lambda r, j: r.current[j] - r.charger_current),
         ("extreme_voltages_vs_time.csv", "voltage_v", (hi, lo), lambda r, j: r.voltage[j]),
     )
-    for name, column, plot_cells, value in plots:
-        _write_csv(out / name, ["time_s", "cell", column], (
-            [_fmt(r.time), str(j + 1), _fmt(value(r, j))] for r in trace for j in plot_cells
-        ))
+
+    def fields():
+        # one pass over the trace feeds all three files
+        for r in records:
+            t = _fmt(r.time)
+            for k, (_, _, plot_cells, value) in enumerate(plots):
+                for j in plot_cells:
+                    yield k, [t, str(j + 1), _fmt(value(r, j))]
+
+    _write_csv([(out / name, ["time_s", "cell", column]) for name, column, _, _ in plots], fields())
     print(f"wrote {len(plots)} plot files to {out}")
     return 0
 

@@ -254,7 +254,7 @@ class TestReplayMatchesOnline:
     def _mismatches(trace, scenario, tmp_path) -> int:
         path = tmp_path / "trace.csv"
         write_trace(path, trace, 4)
-        rows = replay_identification(read_trace(path), scenario)
+        rows = list(replay_identification(read_trace(path), scenario))
         replayed = [tuple(r[2:5]) for r in rows[:-4]]
         recorded = [theta for rec in trace[:-1] for theta in rec.theta]
         assert len(replayed) == len(recorded) > 1000

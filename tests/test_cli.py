@@ -5,9 +5,11 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import io
 import json
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +26,7 @@ from cellbal import (
     Simulation,
     TraceRecord,
     harness,
+    representative_cell_params,
     run_scenario,
     std,
     summarize,
@@ -34,6 +37,7 @@ from cellbal.cli import (
     apply_overrides,
     build_scenario,
     effective_config,
+    iter_trace,
     load_config,
     main,
     read_trace,
@@ -702,9 +706,9 @@ class TestIdentifyCommand:
         for row in rows[-4:]:
             assert abs(float(row[5])) < 1e-6
         # in-process replay must agree with the subprocess byte-for-byte
-        expected = replay_identification(
+        expected = list(replay_identification(
             read_trace(trace_path), build_scenario(effective_config({}))
-        )
+        ))
         got_last = [tuple(float(v) for v in row[2:5]) for row in rows[-4:]]
         want_last = [tuple(r[2:5]) for r in expected[-4:]]
         assert got_last == want_last
@@ -744,7 +748,7 @@ class TestIdentifyCommand:
         one_row = synthetic_linear_trace(rows=1)
         five = build_scenario(effective_config({"cells": [{}] * 5}))
         with pytest.raises(ConfigError, match="4 cells"):
-            replay_identification(one_row, five)
+            list(replay_identification(one_row, five))
 
     def test_decimated_trace_exits_2(self, tmp_path):
         # every tenth cycle carries too little to replay the estimator
@@ -807,3 +811,154 @@ class TestExportPlotsCommand:
     def test_missing_trace_exits_2(self, tmp_path):
         r = cli("export-plots", cwd=tmp_path)
         assert r.returncode == 2
+
+
+PLOT_FILES = ("soc_vs_time.csv", "balancing_current_vs_time.csv", "extreme_voltages_vs_time.csv")
+
+
+def whole_list_outputs(trace_path, scenario) -> dict[str, bytes]:
+    """identification.csv and the plot files as a whole-list pass writes them:
+    the trace read in full, each file made from that list by ``csv.writer``."""
+    trace = read_trace(trace_path)
+
+    def render(header, rows) -> bytes:
+        buf = io.StringIO(newline="")
+        writer = csv.writer(buf)
+        writer.writerow(header)
+        writer.writerows(rows)
+        return buf.getvalue().encode()
+
+    ident = list(replay_identification(trace, scenario))
+    first = trace[0].voltage
+    cells = range(len(first))
+    extremes = (max(cells, key=lambda j: (first[j], -j)), min(cells, key=lambda j: (first[j], j)))
+    return {
+        "identification.csv": render(
+            ["time_s", "cell", "theta1", "theta2", "theta3", "prediction_error_v"],
+            ([repr(t), str(cell), *map(repr, values)] for t, cell, *values in ident),
+        ),
+        "soc_vs_time.csv": render(
+            ["time_s", "cell", "soc"],
+            ([repr(r.time), str(j + 1), repr(r.soc[j])] for r in trace for j in cells),
+        ),
+        "balancing_current_vs_time.csv": render(
+            ["time_s", "cell", "current_a"],
+            ([repr(r.time), str(j + 1), repr(r.current[j] - r.charger_current)]
+             for r in trace for j in cells),
+        ),
+        "extreme_voltages_vs_time.csv": render(
+            ["time_s", "cell", "voltage_v"],
+            ([repr(r.time), str(j + 1), repr(r.voltage[j])] for r in trace for j in extremes),
+        ),
+    }
+
+
+def six_cell_config() -> dict:
+    return {"cells": [{"soc": 0.6 - 0.04 * j} for j in range(6)]}
+
+
+class TestStreamedReplay:
+    """identify and export-plots read the trace once, row by row, and write
+    the bytes of a pass over the whole list."""
+
+    CASES = {
+        "single_row": (None, lambda: synthetic_linear_trace(rows=1)),
+        "six_cells": (six_cell_config(), lambda: run_scenario(build_scenario(
+            effective_config({**six_cell_config(), "run": {"max_time": 10.0}})))[0]),
+        "noisy_greedy": (None, lambda: run_scenario(make_stock_scenario(
+            "greedy", noise_std=0.005, seed=5, max_time=10.0))[0]),
+        "three_blocks": (None, lambda: run_scenario(make_stock_scenario(max_time=40.0))[0]),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_matches_whole_list_reference(self, tmp_path, case):
+        config, make_trace = self.CASES[case]
+        trace = make_trace()
+        n_cells = len(trace[0].voltage)
+        if case == "three_blocks":
+            assert len(trace) > 2 * harness._TRACE_BLOCK
+        trace_path = tmp_path / "trace.csv"
+        write_trace(trace_path, trace, n_cells)
+        config_args = []
+        if config is not None:
+            (tmp_path / "config.json").write_text(json.dumps(config))
+            config_args = ["--config", str(tmp_path / "config.json")]
+        assert main(["identify", *config_args, "--trace", str(trace_path),
+                     "--out", str(tmp_path / "id")]) == 0
+        assert main(["export-plots", "--trace", str(trace_path), "--out", str(tmp_path / "pl")]) == 0
+
+        expected = whole_list_outputs(trace_path, build_scenario(effective_config(config or {})))
+        assert (tmp_path / "id" / "identification.csv").read_bytes() == expected[
+            "identification.csv"]
+        for name in PLOT_FILES:
+            assert (tmp_path / "pl" / name).read_bytes() == expected[name], name
+        assert sorted(p.name for p in (tmp_path / "pl").iterdir()) == sorted(PLOT_FILES)
+
+    @pytest.mark.parametrize("command", ["identify", "export-plots"])
+    def test_traced_peak_does_not_grow_with_the_trace(self, tmp_path, command):
+        def peak(rows: int) -> int:
+            trace_path = tmp_path / f"trace{rows}.csv"
+            write_trace(trace_path, synthetic_linear_trace(rows=rows, dt=1.0), 4)
+            argv = [command, "--trace", str(trace_path), "--out", str(tmp_path / f"out{rows}")]
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(100)  # warm-up: first-call caches are not the command's
+        assert peak(4000) - peak(1000) < 2 * 2**20
+
+    @pytest.mark.parametrize("command", ["identify", "export-plots"])
+    @pytest.mark.parametrize("fault", ["nan", "short_row", "not_a_number"])
+    def test_bad_line_past_row_600_leaves_no_file(self, tmp_path, capsys, command, fault):
+        path = tmp_path / "t.csv"
+        write_trace(path, synthetic_linear_trace(rows=800, dt=1.0), 4)
+        lines = path.read_text().splitlines()
+        parts = lines[700].split(",")  # line 701, data row 700
+        if fault == "short_row":
+            parts.pop()
+        else:
+            parts[3] = "nan" if fault == "nan" else "soon"
+        lines[700] = ",".join(parts)
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        assert main([command, "--trace", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "line 701: " in err
+        if fault == "nan":
+            assert "v_1 is 'nan', not finite" in err
+        assert list(out.iterdir()) == []
+
+
+GENERATED_RUNS = st.fixed_dictionaries({
+    "policy": st.sampled_from(["ampc", "greedy"]),
+    "noise_std": st.sampled_from([0.0, 0.002, 0.005]),
+    "seed": st.integers(0, 2**16),
+    "warm_start": st.booleans(),
+    "socs": st.lists(st.floats(0.3, 0.7), min_size=4, max_size=8),
+    "max_time": st.floats(0.5, 6.0),
+})
+
+
+class TestGeneratedRuns:
+    @settings(derandomize=True, max_examples=50, deadline=None, database=None)
+    @given(GENERATED_RUNS)
+    def test_trace_round_trip_and_replay_match_the_run(self, run):
+        cells = [(representative_cell_params(), CellState(soc=s)) for s in run["socs"]]
+        scenario = make_stock_scenario(
+            run["policy"], cells=cells, noise_std=run["noise_std"], seed=run["seed"],
+            warm_start=run["warm_start"], max_time=run["max_time"],
+        )
+        trace, _ = run_scenario(scenario)
+        n = len(cells)
+        assert 0 < len(trace) <= 320
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "trace.csv"
+            assert write_trace(path, trace, n) == len(trace)
+            assert read_trace(path) == trace
+            replayed = [tuple(r[2:5]) for r in replay_identification(iter_trace(path), scenario)]
+        assert len(replayed) == n * len(trace)
+        recorded = [theta for rec in trace for theta in rec.theta]
+        assert replayed[:-n] == recorded[:-n]
