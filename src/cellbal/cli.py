@@ -158,26 +158,24 @@ def apply_overrides(raw: dict, assignments: Sequence[str]) -> dict:
             if isinstance(node, dict):
                 node = node.setdefault(part, [] if parts[depth + 1].isdigit() else {})
             elif isinstance(node, list):
-                try:
-                    node = node[int(part)]
-                except (ValueError, IndexError):
-                    raise ConfigError(f"--set {key}: bad list index {part!r}") from None
+                node = node[_list_index(node, part, key)]
             else:
                 raise ConfigError(f"--set {key}: {'.'.join(parts[:depth])} is not a container")
         leaf = parts[-1]
         if isinstance(node, dict):
             node[leaf] = value
         elif isinstance(node, list):
-            try:
-                idx = int(leaf)
-            except ValueError:
-                raise ConfigError(f"--set {key}: bad list index {leaf!r}") from None
-            if not 0 <= idx < len(node):
-                raise ConfigError(f"--set {key}: index {idx} out of range")
-            node[idx] = value
+            node[_list_index(node, leaf, key)] = value
         else:
             raise ConfigError(f"--set {key}: target is not a container")
     return cfg
+
+
+def _list_index(node: list, part: str, key: str) -> int:
+    # one rule wherever a path meets a list: a non-negative decimal within range
+    if part.isascii() and part.isdigit() and int(part) < len(node):
+        return int(part)
+    raise ConfigError(f"--set {key}: bad list index {part!r}, out of range for {len(node)} items")
 
 
 def _coerce(hint: Any, value: Any, where: str) -> Any:
@@ -290,63 +288,93 @@ def trace_header(n_cells: int) -> list[str]:
     return cols
 
 
-def _fmt(x: float) -> str:
-    # repr gives the shortest string that parses back to the same float
-    return repr(float(x))
-
-
 def _write_csv(
-    outputs: Sequence[tuple[str | Path, Sequence[str]]],
-    rows: Iterable[tuple[int, Sequence[str]]],
+    outputs: Sequence[tuple[str | Path, Sequence[str], str]],
+    items: Iterable[tuple[int, tuple]],
 ) -> int:
-    """Write the CSV files ``outputs``, each a (path, header), in one pass over
-    ``rows``, whose items are (index into ``outputs``, fields).  One comma join
-    and CRLF per row: ``csv.writer``'s bytes, as no field needs quoting.
-    Returns the row count.  The rows may be produced while they are written, so
-    each file goes to a sibling ``.partial`` file, and all of them replace their
-    paths only once the last row is in; if producing them raises, no file is
-    left behind."""
-    partials: list[str] = []
-    count = 0
+    """Write the CSV files ``outputs``, each a (path, header, row format), in one
+    pass over ``items``, each (index into ``outputs``, values).  A writer process
+    beside the caller formats and writes them, taking blocks over a pipe that
+    holds the caller while full, so memory stays flat; returns the row count.
+    The files go to ``.partial`` siblings that replace their paths after the
+    last row; if producing or writing raises, no file and no writer is left."""
+    import multiprocessing  # here, so importing this module does not pay for it
+
+    # fork: spawn re-imports numpy (0.1-0.2 s), and the writer calls no BLAS
+    methods = multiprocessing.get_all_start_methods()
+    ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
+    files = [(f"{path}.partial", header, fmt) for path, header, fmt in outputs]
+    blocks_in, blocks_out = ctx.Pipe(duplex=False)
+    reply_in, reply_out = ctx.Pipe(duplex=False)
+    writer = ctx.Process(target=_csv_writer, daemon=True,
+                         args=(blocks_in, reply_out, files, (blocks_out, reply_in)))
     try:
-        with contextlib.ExitStack() as stack:
-            writes = []
-            for path, header in outputs:
-                fh = stack.enter_context(open(f"{path}.partial", "w", newline=""))
-                partials.append(fh.name)
-                fh.write(",".join(header) + "\r\n")
-                writes.append(fh.write)
-            for k, row in rows:
-                writes[k](",".join(row) + "\r\n")
-                count += 1
+        with blocks_out, reply_in:
+            with blocks_in, reply_out:
+                writer.start()  # the writer's ends are its own from here
+            try:
+                items = iter(items)
+                blocks = iter(lambda: list(itertools.islice(items, 512)), [])
+                for block in itertools.chain(blocks, [None]):
+                    try:
+                        blocks_out.send(block)
+                    except BrokenPipeError:
+                        break  # the writer stopped early, and its reply says why
+                try:
+                    reply = reply_in.recv()
+                except EOFError:
+                    writer.join()
+                    reply = ChildProcessError(f"CSV writer exited with code {writer.exitcode}")
+            except BaseException:
+                writer.kill()
+                raise
+            finally:
+                writer.join()
+        if isinstance(reply, BaseException):
+            raise reply
     except BaseException:
-        for partial in partials:
+        for partial in (name for name, _, _ in files if os.path.isfile(name)):
             os.unlink(partial)
         raise
-    for partial, (path, _) in zip(partials, outputs):
+    for (partial, _, _), (path, _, _) in zip(files, outputs):
         os.replace(partial, path)
-    return count
+    return reply
 
 
-def _one_file(rows: Iterable[Sequence[str]]) -> Iterator[tuple[int, Sequence[str]]]:
-    # rows for the single output of a _write_csv call
-    return zip(itertools.repeat(0), rows)
-
-
-def _trace_row(r: TraceRecord, n_cells: int) -> list[str]:
-    row = [_fmt(r.time), str(r.cycle)]
-    for k in range(n_cells):
-        row += map(_fmt, (r.soc[k], r.voltage[k], r.current[k], *r.theta[k]))
-    row += (r.candidate_bits, _fmt(r.voltage_std), _fmt(r.charger_current))
-    return row
+def _csv_writer(blocks, reply, files, parent_ends) -> None:
+    # _write_csv's writer process: replies the row count once its files are closed, or its error
+    for end in parent_ends:
+        end.close()  # so a caller that dies ends the recv below
+    result = 0
+    try:
+        with contextlib.ExitStack() as stack:
+            rows = []
+            for partial, header, fmt in files:
+                fh = stack.enter_context(open(partial, "w", newline=""))
+                fh.write(",".join(header) + "\r\n")
+                rows.append((fh.write, fmt + "\r\n"))  # csv.writer's bytes: nothing needs quoting
+            while (block := blocks.recv()) is not None:
+                for k, values in block:
+                    write, fmt = rows[k]
+                    write(fmt % values)
+                result += len(block)
+    except EOFError:
+        return  # the caller is gone
+    except BaseException as e:
+        blocks.close()  # a caller blocked on a full pipe gets BrokenPipeError
+        result = e
+    reply.send(result)
 
 
 def write_trace(path: str | Path, rows: Iterable[TraceRecord], n_cells: int) -> int:
     """Write the rows of any iterable, such as :meth:`Simulation.stream`, as
     they come; returns the row count."""
-    return _write_csv(
-        [(path, trace_header(n_cells))], _one_file(_trace_row(r, n_cells) for r in rows)
-    )
+    # %r of a float is the shortest string that parses back to it
+    fmt = "%r,%d," + "%r,%r,%r,%r,%r,%r," * n_cells + "%s,%r,%r"
+    return _write_csv([(path, trace_header(n_cells), fmt)], (
+        (0, (r.time, r.cycle, *itertools.chain(*zip(r.soc, r.voltage, r.current, *zip(*r.theta))),
+             r.candidate_bits, r.voltage_std, r.charger_current)) for r in rows
+    ))
 
 
 def read_trace(path: str | Path) -> list[TraceRecord]:
@@ -481,8 +509,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             futures = {p: pool.submit(_run_policy, s, out / p) for p, s in scenarios.items()}
             summaries = {p: fut.result() for p, fut in futures.items()}
 
-    _write_csv([(out / "comparison.csv", _COMPARISON_COLUMNS)], _one_file(
-        [p, *("" if v is None else _fmt(v) for v in dataclasses.astuple(summaries[p]))]
+    # %s of a float is its repr; a figure that is None is left empty
+    fmt = ",".join(["%s"] * len(_COMPARISON_COLUMNS))
+    _write_csv([(out / "comparison.csv", _COMPARISON_COLUMNS, fmt)], (
+        (0, (p, *("" if v is None else v for v in dataclasses.astuple(summaries[p]))))
         for p in policies
     ))
     if args.dump_config:
@@ -559,12 +589,12 @@ def cmd_identify(args: argparse.Namespace) -> int:
     out = _resolve_out(args.out, "identify")
     last_errors = collections.deque(maxlen=len(scenario.cells))
 
-    def fields():
-        for t, cell, *values in rows:
-            last_errors.append(abs(values[-1]))
-            yield [_fmt(t), str(cell), *map(_fmt, values)]
+    def values():
+        for row in rows:
+            last_errors.append(abs(row[-1]))
+            yield 0, row
 
-    _write_csv([(out / "identification.csv", _IDENT_COLUMNS)], _one_file(fields()))
+    _write_csv([(out / "identification.csv", _IDENT_COLUMNS, "%r,%d,%r,%r,%r,%r")], values())
     print(f"wrote {out / 'identification.csv'}; final |prediction error| {max(last_errors):.3e} V")
     return 0
 
@@ -584,15 +614,15 @@ def cmd_export_plots(args: argparse.Namespace) -> int:
         ("extreme_voltages_vs_time.csv", "voltage_v", (hi, lo), lambda r, j: r.voltage[j]),
     )
 
-    def fields():
+    def values():
         # one pass over the trace feeds all three files
         for r in records:
-            t = _fmt(r.time)
             for k, (_, _, plot_cells, value) in enumerate(plots):
                 for j in plot_cells:
-                    yield k, [t, str(j + 1), _fmt(value(r, j))]
+                    yield k, (r.time, j + 1, value(r, j))
 
-    _write_csv([(out / name, ["time_s", "cell", column]) for name, column, _, _ in plots], fields())
+    files = [(out / name, ["time_s", "cell", column], "%r,%d,%r") for name, column, _, _ in plots]
+    _write_csv(files, values())
     print(f"wrote {len(plots)} plot files to {out}")
     return 0
 

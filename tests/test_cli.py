@@ -5,8 +5,11 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import faulthandler
 import io
 import json
+import multiprocessing
+import os
 import re
 import tempfile
 import tracemalloc
@@ -31,6 +34,7 @@ from cellbal import (
     std,
     summarize,
 )
+from cellbal import cli as cli_module
 from cellbal.cli import (
     ConfigError,
     TraceFormatError,
@@ -164,6 +168,20 @@ class TestApplyOverrides:
     def test_bad_list_index(self):
         with pytest.raises(ConfigError, match="out of range"):
             apply_overrides({"cells": [{}]}, ["cells.5=3"])
+
+    @pytest.mark.parametrize("index", ["-1", "+0", "-0", " 0", "0_0", "\u0660", "x", ""])
+    @pytest.mark.parametrize("where", ["middle", "leaf"])
+    def test_index_must_be_a_non_negative_decimal(self, where, index):
+        path = f"cells.{index}.soc=0.7" if where == "middle" else f"run.policies.{index}=greedy"
+        with pytest.raises(ConfigError, match=re.escape(f"bad list index {index!r}")):
+            apply_overrides({"cells": [{}, {}], "run": {"policies": ["ampc", "none"]}}, [path])
+
+    @pytest.mark.parametrize("path", ["cells.-1.soc=0.7", "run.policies.-1=greedy",
+                                      "cells.+1.soc=0.7", "run.policies.+1=greedy"])
+    def test_signed_index_exits_2(self, tmp_path, capsys, path):
+        assert main(["simulate", "--set", path, "--out", str(tmp_path / "run")]) == 2
+        assert "bad list index" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
 
 class TestEffectiveConfig:
@@ -962,3 +980,158 @@ class TestGeneratedRuns:
         assert len(replayed) == n * len(trace)
         recorded = [theta for rec in trace for theta in rec.theta]
         assert replayed[:-n] == recorded[:-n]
+
+
+_STOCK = effective_config({})
+
+
+def _indexes_badly(path: str) -> bool:
+    """Whether a --set path indexes a list of the stock config with anything
+    but a decimal index within range."""
+    node = _STOCK
+    parts = path.split(".")
+    for part in parts if len(parts) > 1 else ["run", path]:
+        if isinstance(node, list):
+            if not (part.isascii() and part.isdigit() and int(part) < len(node)):
+                return True
+            node = node[int(part)]
+        elif isinstance(node, dict) and part in node:
+            node = node[part]
+        else:
+            return False
+    return False
+
+
+SET_SECTIONS = st.sampled_from([*_STOCK, "bogus"])
+SET_FIELDS = st.sampled_from(sorted(
+    {key for body in _STOCK.values() for key in (body[0] if isinstance(body, list) else body)}
+) + ["bogus"])
+SET_INDEXES = st.sampled_from(["0", "1", "3", "4", "-1", "-4", "+1", "-0", "01", " 1", "1_0", ""])
+SET_VALUES = st.sampled_from([
+    "0", "1", "-1", "0.5", "2", "1e300", "-1e300", "NaN", "-Infinity", "true", "null",
+    '"ampc"', "greedy", "idle", "[]", "{}", "[0.5, 0.5]", '["greedy"]', "[1, 2, 3, 4, 5]",
+])
+SET_PATHS = st.one_of(
+    SET_FIELDS,
+    st.builds(lambda head, tail: ".".join([head, *tail]),
+              SET_SECTIONS, st.lists(st.one_of(SET_INDEXES, SET_FIELDS), min_size=1, max_size=3)),
+)
+
+
+@st.composite
+def set_assignments(draw):
+    """(path, JSON value) for --set: a cell field, a policy, a section field,
+    each with any index and often the stock value, or a free path."""
+    kind = draw(st.sampled_from(["cell", "policy", "section", "free"]))
+    if kind == "cell":
+        field = draw(st.sampled_from(sorted(_STOCK["cells"][0])))
+        path, stock = f"cells.{draw(SET_INDEXES)}.{field}", _STOCK["cells"][0][field]
+    elif kind == "policy":
+        path, stock = f"run.policies.{draw(SET_INDEXES)}", "greedy"
+    elif kind == "section":
+        section = draw(st.sampled_from([name for name in _STOCK if name != "cells"]))
+        field = draw(st.sampled_from(sorted(_STOCK[section])))
+        path, stock = f"{section}.{field}", _STOCK[section][field]
+    else:
+        path, stock = draw(SET_PATHS), None
+    return path, draw(st.just(json.dumps(stock)) | SET_VALUES)
+
+
+class TestGeneratedOverrides:
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(set_assignments())
+    def test_simulate_exits_0_or_2(self, assignment):
+        path, value = assignment
+        with tempfile.TemporaryDirectory() as tmp:
+            code = main(["simulate", "--set", f"{path}={value}", "--set", "run.max_time=1",
+                         "--out", str(Path(tmp) / "run")])
+        assert code in (0, 2)
+        if _indexes_badly(path):
+            assert code == 2
+
+
+class TestWriterProcess:
+    """Every CSV is formatted and written by a writer process beside the
+    command: its errors reach the command, no failure hangs or leaves a file
+    behind, and no process outlives the command."""
+
+    IDLE_RUN = ["simulate", "--set", "charger.mode=idle", "--set", "run.max_time=300"]
+
+    @pytest.fixture(autouse=True)
+    def no_hang_and_no_process_left(self):
+        # a deadlock ends the test run within minutes instead of hanging it
+        faulthandler.dump_traceback_later(120, exit=True)
+        yield
+        faulthandler.cancel_dump_traceback_later()
+        assert multiprocessing.active_children() == []
+
+    @staticmethod
+    def command_argv(command, tmp_path):
+        if command == "simulate":
+            return TestWriterProcess.IDLE_RUN
+        path = tmp_path / "trace.csv"
+        write_trace(path, synthetic_linear_trace(rows=3000, dt=1.0), 4)
+        return [command, "--trace", str(path)]
+
+    @pytest.mark.parametrize("command, name", [
+        ("simulate", "trace.csv"),
+        ("identify", "identification.csv"),
+        ("export-plots", "balancing_current_vs_time.csv"),
+    ])
+    def test_unwritable_output_exits_2_with_the_writers_error(
+        self, tmp_path, capsys, command, name
+    ):
+        out = tmp_path / "out"
+        (out / f"{name}.partial").mkdir(parents=True)
+        assert main([*self.command_argv(command, tmp_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"Is a directory: '{out / name}.partial'" in err
+        assert "BrokenPipe" not in err
+        assert [p.name for p in out.iterdir()] == [f"{name}.partial"]
+
+    @pytest.mark.parametrize("command", ["simulate", "identify", "export-plots"])
+    def test_producer_failure_mid_stream_leaves_no_file(self, tmp_path, monkeypatch, command):
+        argv = self.command_argv(command, tmp_path)
+        # past 1500 steps or records, several blocks have gone to the writer
+        produced = 0
+        if command == "simulate":
+            real_step = harness.step_exact
+
+            def failing_step(*args):
+                nonlocal produced
+                produced += 1
+                if produced > 4 * 1500:  # one call per cell and step
+                    raise RuntimeError("injected plant fault")
+                return real_step(*args)
+
+            monkeypatch.setattr(harness, "step_exact", failing_step)
+        else:
+            real_iter = iter_trace
+
+            def failing_iter(path):
+                nonlocal produced
+                for produced, rec in enumerate(real_iter(path)):
+                    if produced == 1500:
+                        raise RuntimeError("injected reader fault")
+                    yield rec
+
+            monkeypatch.setattr(cli_module, "iter_trace", failing_iter)
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 3
+        assert produced >= 1500
+        assert list(out.iterdir()) == []
+
+    def test_writer_that_dies_fails_the_command(self, tmp_path, capsys, monkeypatch):
+        # the writer's pipe end must be the writer's alone, or the command
+        # blocks for ever on a full pipe that nobody reads
+        monkeypatch.setattr(cli_module, "_csv_writer", lambda *args: os._exit(7))
+        out = tmp_path / "out"
+        assert main([*self.IDLE_RUN, "--out", str(out)]) == 2
+        assert "CSV writer exited with code 7" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_sweep_and_its_pool_workers_leave_no_process(self, tmp_path):
+        out = tmp_path / "sw"
+        assert main(["sweep", "--jobs", "2", "--set", "run.max_time=5", "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.rglob("*.csv")) == [
+            "comparison.csv", "trace.csv", "trace.csv"]
