@@ -26,6 +26,7 @@ import dataclasses
 import itertools
 import json
 import math
+import operator
 import os
 import re
 import sys
@@ -289,21 +290,20 @@ def trace_header(n_cells: int) -> list[str]:
 
 
 def _write_csv(
-    outputs: Sequence[tuple[str | Path, Sequence[str], str]],
+    outputs: Sequence[tuple[str | Path, Sequence[str], Sequence[Any]]],
     items: Iterable[tuple[int, tuple]],
 ) -> int:
-    """Write the CSV files ``outputs``, each a (path, header, row format), in one
-    pass over ``items``, each (index into ``outputs``, values).  A writer process
-    beside the caller formats and writes them, taking blocks over a pipe that
-    holds the caller while full, so memory stays flat; returns the row count.
-    The files go to ``.partial`` siblings that replace their paths after the
-    last row; if producing or writing raises, no file and no writer is left."""
+    """Write the CSV files ``outputs``, each a (path, header, converters), in one
+    pass over ``items``, each (index into ``outputs``, values); a field is the str
+    of its converter's result.  A writer process beside the caller formats and
+    writes them, taking blocks over a pipe that holds the caller while full, so
+    memory stays flat; returns the row count.  The files go to ``.partial``
+    siblings that replace their paths after the last row; a failure leaves none."""
     import multiprocessing  # here, so importing this module does not pay for it
 
-    # fork: spawn re-imports numpy (0.1-0.2 s), and the writer calls no BLAS
-    methods = multiprocessing.get_all_start_methods()
-    ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
-    files = [(f"{path}.partial", header, fmt) for path, header, fmt in outputs]
+    # fork on Linux: spawn re-imports numpy (0.1-0.2 s), and the writer calls no BLAS
+    ctx = multiprocessing.get_context("fork" if sys.platform == "linux" else None)
+    files = [(f"{path}.partial", header, convert) for path, header, convert in outputs]
     blocks_in, blocks_out = ctx.Pipe(duplex=False)
     reply_in, reply_out = ctx.Pipe(duplex=False)
     writer = ctx.Process(target=_csv_writer, daemon=True,
@@ -345,18 +345,19 @@ def _csv_writer(blocks, reply, files, parent_ends) -> None:
     # _write_csv's writer process: replies the row count once its files are closed, or its error
     for end in parent_ends:
         end.close()  # so a caller that dies ends the recv below
+    call = getattr(operator, "call", lambda f, x: f(x))  # operator.call is new in 3.11
     result = 0
     try:
         with contextlib.ExitStack() as stack:
             rows = []
-            for partial, header, fmt in files:
+            for partial, header, convert in files:
                 fh = stack.enter_context(open(partial, "w", newline=""))
-                fh.write(",".join(header) + "\r\n")
-                rows.append((fh.write, fmt + "\r\n"))  # csv.writer's bytes: nothing needs quoting
+                fh.write(",".join(header) + "\r\n")  # csv.writer's bytes: nothing needs quoting
+                rows.append((fh.write, convert, ",".join(["%s"] * len(convert)) + "\r\n"))
             while (block := blocks.recv()) is not None:
                 for k, values in block:
-                    write, fmt = rows[k]
-                    write(fmt % values)
+                    write, convert, fmt = rows[k]
+                    write(fmt % tuple(map(call, convert, values)))
                 result += len(block)
     except EOFError:
         return  # the caller is gone
@@ -369,9 +370,8 @@ def _csv_writer(blocks, reply, files, parent_ends) -> None:
 def write_trace(path: str | Path, rows: Iterable[TraceRecord], n_cells: int) -> int:
     """Write the rows of any iterable, such as :meth:`Simulation.stream`, as
     they come; returns the row count."""
-    # %r of a float is the shortest string that parses back to it
-    fmt = "%r,%d," + "%r,%r,%r,%r,%r,%r," * n_cells + "%s,%r,%r"
-    return _write_csv([(path, trace_header(n_cells), fmt)], (
+    convert = (float, str, *(float,) * 6 * n_cells, str, float, float)
+    return _write_csv([(path, trace_header(n_cells), convert)], (
         (0, (r.time, r.cycle, *itertools.chain(*zip(r.soc, r.voltage, r.current, *zip(*r.theta))),
              r.candidate_bits, r.voltage_std, r.charger_current)) for r in rows
     ))
@@ -509,10 +509,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             futures = {p: pool.submit(_run_policy, s, out / p) for p, s in scenarios.items()}
             summaries = {p: fut.result() for p, fut in futures.items()}
 
-    # %s of a float is its repr; a figure that is None is left empty
-    fmt = ",".join(["%s"] * len(_COMPARISON_COLUMNS))
-    _write_csv([(out / "comparison.csv", _COMPARISON_COLUMNS, fmt)], (
-        (0, (p, *("" if v is None else v for v in dataclasses.astuple(summaries[p]))))
+    _write_csv([(out / "comparison.csv", _COMPARISON_COLUMNS, [str] * len(_COMPARISON_COLUMNS))], (
+        (0, (p, *("" if v is None else float(v) for v in dataclasses.astuple(summaries[p]))))
         for p in policies
     ))
     if args.dump_config:
@@ -594,7 +592,8 @@ def cmd_identify(args: argparse.Namespace) -> int:
             last_errors.append(abs(row[-1]))
             yield 0, row
 
-    _write_csv([(out / "identification.csv", _IDENT_COLUMNS, "%r,%d,%r,%r,%r,%r")], values())
+    convert = (float, str, *(float,) * 4)  # str of a float parses back to the same float
+    _write_csv([(out / "identification.csv", _IDENT_COLUMNS, convert)], values())
     print(f"wrote {out / 'identification.csv'}; final |prediction error| {max(last_errors):.3e} V")
     return 0
 
@@ -621,7 +620,8 @@ def cmd_export_plots(args: argparse.Namespace) -> int:
                 for j in plot_cells:
                     yield k, (r.time, j + 1, value(r, j))
 
-    files = [(out / name, ["time_s", "cell", column], "%r,%d,%r") for name, column, _, _ in plots]
+    files = [(out / name, ["time_s", "cell", column], (float, str, float))
+             for name, column, _, _ in plots]
     _write_csv(files, values())
     print(f"wrote {len(plots)} plot files to {out}")
     return 0

@@ -386,6 +386,26 @@ class TestTraceBytes:
             x.hex() for r in trace for x in (*r.soc, *r.voltage, *r.current)
         ]
 
+    def test_numpy_and_int_values_are_written_as_floats(self, tmp_path):
+        # each float field is written as float(value), as read_trace reads it back
+        trace = self.odd_trace()
+        loose = [dataclasses.replace(
+            r,
+            time=np.float64(r.time),
+            cycle=np.int64(r.cycle),
+            soc=tuple(np.array(r.soc)),
+            voltage=tuple(np.array(r.voltage)),
+            current=tuple(np.array(r.current)),
+            theta=tuple(map(tuple, np.array(r.theta))),
+            voltage_std=np.float64(r.voltage_std),
+            charger_current=-2,
+        ) for r in trace]
+        expected = [dataclasses.replace(r, charger_current=-2.0) for r in trace]
+        write_trace(tmp_path / "loose.csv", loose, 4)
+        write_trace(tmp_path / "t.csv", expected, 4)
+        assert (tmp_path / "loose.csv").read_bytes() == (tmp_path / "t.csv").read_bytes()
+        assert read_trace(tmp_path / "loose.csv") == expected
+
     def test_run_matches_csv_writer(self, tmp_path):
         trace, _ = run_scenario(make_stock_scenario(max_time=5.0, noise_std=0.005, seed=3))
         write_trace(tmp_path / "t.csv", trace, 4)
@@ -1050,6 +1070,14 @@ class TestGeneratedOverrides:
             assert code == 2
 
 
+def _write_trace_error(path):
+    # the message write_trace raises in a multiprocessing.Pool worker
+    try:
+        write_trace(path, synthetic_linear_trace(rows=3), 4)
+    except AssertionError as e:
+        return str(e)
+
+
 class TestWriterProcess:
     """Every CSV is formatted and written by a writer process beside the
     command: its errors reach the command, no failure hangs or leaves a file
@@ -1129,6 +1157,14 @@ class TestWriterProcess:
         assert main([*self.IDLE_RUN, "--out", str(out)]) == 2
         assert "CSV writer exited with code 7" in capsys.readouterr().err
         assert list(out.iterdir()) == []
+
+    def test_a_daemonic_process_cannot_start_the_writer(self, tmp_path):
+        # multiprocessing.Pool workers are daemonic, and multiprocessing lets a
+        # daemonic process start no child, so no writer either
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            error = pool.apply(_write_trace_error, (tmp_path / "t.csv",))
+        assert error == "daemonic processes are not allowed to have children"
+        assert list(tmp_path.iterdir()) == []
 
     def test_sweep_and_its_pool_workers_leave_no_process(self, tmp_path):
         out = tmp_path / "sw"
