@@ -290,15 +290,16 @@ def trace_header(n_cells: int) -> list[str]:
 
 
 def _write_csv(
-    outputs: Sequence[tuple[str | Path, Sequence[str], Sequence[Any]]],
+    outputs: Sequence[tuple[str | Path, Sequence[str], Sequence[Any] | None]],
     items: Iterable[tuple[int, tuple]],
 ) -> int:
-    """Write the CSV files ``outputs``, each a (path, header, converters), in one
-    pass over ``items``, each (index into ``outputs``, values); a field is the str
-    of its converter's result.  A writer process beside the caller formats and
-    writes them, taking blocks over a pipe that holds the caller while full, so
-    memory stays flat; returns the row count.  The files go to ``.partial``
-    siblings that replace their paths after the last row; a failure leaves none."""
+    """Write the CSV files ``outputs``, each a (path, header, converters or None),
+    in one pass over ``items``, each (index into ``outputs``, values); a field is
+    the str of its converter's result, or of itself.  A writer process beside the
+    caller formats and writes them, taking blocks over a pipe that holds the
+    caller while full, so memory stays flat; returns the row count.  The files go
+    to ``.partial`` siblings that replace their paths after the last row; a
+    failure leaves none."""
     import multiprocessing  # here, so importing this module does not pay for it
 
     # fork on Linux: spawn re-imports numpy (0.1-0.2 s), and the writer calls no BLAS
@@ -353,11 +354,11 @@ def _csv_writer(blocks, reply, files, parent_ends) -> None:
             for partial, header, convert in files:
                 fh = stack.enter_context(open(partial, "w", newline=""))
                 fh.write(",".join(header) + "\r\n")  # csv.writer's bytes: nothing needs quoting
-                rows.append((fh.write, convert, ",".join(["%s"] * len(convert)) + "\r\n"))
+                rows.append((fh.write, convert, ",".join(["%s"] * len(header)) + "\r\n"))
             while (block := blocks.recv()) is not None:
                 for k, values in block:
                     write, convert, fmt = rows[k]
-                    write(fmt % tuple(map(call, convert, values)))
+                    write(fmt % (tuple(map(call, convert, values)) if convert else values))
                 result += len(block)
     except EOFError:
         return  # the caller is gone
@@ -370,6 +371,7 @@ def _csv_writer(blocks, reply, files, parent_ends) -> None:
 def write_trace(path: str | Path, rows: Iterable[TraceRecord], n_cells: int) -> int:
     """Write the rows of any iterable, such as :meth:`Simulation.stream`, as
     they come; returns the row count."""
+    # rows may come from library code with numpy scalars or ints: write float() of each
     convert = (float, str, *(float,) * 6 * n_cells, str, float, float)
     return _write_csv([(path, trace_header(n_cells), convert)], (
         (0, (r.time, r.cycle, *itertools.chain(*zip(r.soc, r.voltage, r.current, *zip(*r.theta))),
@@ -509,7 +511,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             futures = {p: pool.submit(_run_policy, s, out / p) for p, s in scenarios.items()}
             summaries = {p: fut.result() for p, fut in futures.items()}
 
-    _write_csv([(out / "comparison.csv", _COMPARISON_COLUMNS, [str] * len(_COMPARISON_COLUMNS))], (
+    _write_csv([(out / "comparison.csv", _COMPARISON_COLUMNS, None)], (
         (0, (p, *("" if v is None else float(v) for v in dataclasses.astuple(summaries[p]))))
         for p in policies
     ))
@@ -592,8 +594,7 @@ def cmd_identify(args: argparse.Namespace) -> int:
             last_errors.append(abs(row[-1]))
             yield 0, row
 
-    convert = (float, str, *(float,) * 4)  # str of a float parses back to the same float
-    _write_csv([(out / "identification.csv", _IDENT_COLUMNS, convert)], values())
+    _write_csv([(out / "identification.csv", _IDENT_COLUMNS, None)], values())
     print(f"wrote {out / 'identification.csv'}; final |prediction error| {max(last_errors):.3e} V")
     return 0
 
@@ -620,8 +621,7 @@ def cmd_export_plots(args: argparse.Namespace) -> int:
                 for j in plot_cells:
                     yield k, (r.time, j + 1, value(r, j))
 
-    files = [(out / name, ["time_s", "cell", column], (float, str, float))
-             for name, column, _, _ in plots]
+    files = [(out / name, ["time_s", "cell", column], None) for name, column, _, _ in plots]
     _write_csv(files, values())
     print(f"wrote {len(plots)} plot files to {out}")
     return 0

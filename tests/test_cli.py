@@ -1070,6 +1070,11 @@ class TestGeneratedOverrides:
             assert code == 2
 
 
+def _writer_that_exits(*args):
+    # a CSV writer that dies at once; module-level, so spawn can pickle it too
+    os._exit(7)
+
+
 def _write_trace_error(path):
     # the message write_trace raises in a multiprocessing.Pool worker
     try:
@@ -1152,7 +1157,7 @@ class TestWriterProcess:
     def test_writer_that_dies_fails_the_command(self, tmp_path, capsys, monkeypatch):
         # the writer's pipe end must be the writer's alone, or the command
         # blocks for ever on a full pipe that nobody reads
-        monkeypatch.setattr(cli_module, "_csv_writer", lambda *args: os._exit(7))
+        monkeypatch.setattr(cli_module, "_csv_writer", _writer_that_exits)
         out = tmp_path / "out"
         assert main([*self.IDLE_RUN, "--out", str(out)]) == 2
         assert "CSV writer exited with code 7" in capsys.readouterr().err
