@@ -35,8 +35,6 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Sequence
 
-import numpy as np
-
 from .controller import ControllerConfig
 from .ecm import CellParams, CellState, representative_cell_params
 from .flyback import ConverterParams
@@ -538,7 +536,7 @@ def replay_identification(
     est = rls.initial_estimators(
         cells, scenario.warm_start, scenario.initial_covariance, scenario.forgetting_factor
     )
-    capacities = np.array([p.capacity_coulombs for p in cells])
+    capacities = [p.capacity_coulombs for p in cells]
     charges = [0.0] * len(cells)
     prev = None
     for rec in records:
@@ -556,8 +554,8 @@ def replay_identification(
                 )
             currents, dt = prev.current, rec.time - prev.time
             charges = [q + i * dt for q, i in zip(charges, currents)]
-        est = rls.update(est, rls.build_regressor(currents, charges, capacities), rec.voltage)
-        for j, (theta, e) in enumerate(zip(est.theta.tolist(), est.innovation.tolist())):
+        est = rls.update(est, rls.regressor_rows(currents, charges, capacities), rec.voltage)
+        for j, (theta, e) in enumerate(zip(est.theta, est.innovation)):
             yield (rec.time, j + 1, *theta, e)
         prev = rec
 

@@ -154,8 +154,6 @@ class ScenarioConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed!r}")
         if not 0.0 < self.forgetting_factor <= 1.0:
             raise ValueError("forgetting_factor must lie in (0, 1]")
-        if not self.initial_covariance > 0.0:
-            raise ValueError("initial_covariance must be positive")
         # the longest nominal cycle runs with every cell at the lowest allowed voltage
         c, v_floor = self.converter, min(p.v_min for p, _ in self.cells)
         cycle, drained = nominal_cycle(c, len(self.cells), v_floor)
@@ -180,6 +178,18 @@ class ScenarioConfig:
                     f"cell {j} capacity_coulombs {p.capacity_coulombs!r} C does not exceed "
                     f"the {drained:.3g} C one nominal converter cycle drains"
                 )
+        # the largest regressor entry: |q/C| <= 1 while no reservoir limit clamps the SOC,
+        # and a current under the charger's plus a winding's drain and freewheel, each
+        # under the peak current scaled by the widest voltage ratio, 2 v_max / v_min
+        ratio = 2.0 * max(p.v_max for p, _ in self.cells) / v_floor
+        i_max = abs(self.charger.cc_current) + c.peak_current * ratio * (
+            1.0 + 2.0 * c.turns_primary / c.turns_secondary)
+        p0_max = rls.max_p0_scale(max(1.0, i_max), self.forgetting_factor)
+        if not 0.0 < self.initial_covariance <= p0_max:
+            raise ValueError(
+                f"initial_covariance must lie in (0, {p0_max:.4g}] for this scenario's "
+                f"regressors and forgetting_factor, got {self.initial_covariance!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -296,7 +306,7 @@ class Simulation:
         self.cfg = cfg
         self.params = [p for p, _ in cfg.cells]
         self.states = [s for _, s in cfg.cells]
-        self.capacities = np.array([p.capacity_coulombs for p in self.params])
+        self.capacities = [p.capacity_coulombs for p in self.params]
         self._r_stack = sum(p.series_resistance for p in self.params)
         self.accumulators = [0.0] * len(self.params)
         self.estimator = rls.initial_estimators(
@@ -394,7 +404,7 @@ class Simulation:
             soc=tuple(s.soc for s in self.states),
             voltage=tuple(v_meas),
             current=tuple(currents),
-            theta=tuple(map(tuple, self.estimator.theta.tolist())),
+            theta=self.estimator.theta,
             candidate_bits=bits,
             voltage_std=std(v_meas),
             charger_current=i_ext,
@@ -431,7 +441,7 @@ class Simulation:
 
         # the current that flowed up to this measurement (the charger's at first)
         reg_currents = self._last_currents or [i_ext] * len(self.params)
-        x = rls.build_regressor(reg_currents, self.accumulators, self.capacities)
+        x = rls.regressor_rows(reg_currents, self.accumulators, self.capacities)
         self.estimator = rls.update(self.estimator, x, v_meas)
 
         plan = self._decide(v_meas, i_ext)

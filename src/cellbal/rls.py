@@ -8,15 +8,22 @@ where ``i`` is the cell current (positive = discharge), ``q`` the cumulative
 transferred charge since the run started and ``C`` the nominal capacity.
 theta1 absorbs the lumped resistive drop, theta2 the local OCV slope versus
 discharged fraction, theta3 the operating-point offset.  The estimator is
-exponentially-weighted RLS whose forgetting never lifts trace(P) above its
-initial value: without excitation the 1/lambda inflation would otherwise
+exponentially-weighted RLS (Ljung & Soderstrom, *Theory and Practice of
+Recursive Identification*, 1983) whose forgetting never lifts trace(P) above
+its initial value: without excitation the 1/lambda inflation would otherwise
 grow P without bound (covariance windup).  The covariance is re-symmetrized
-after every update to stop round-off drift.  An estimator may stack cells on
-a leading axis; each row carries the bits a lone estimator fed its samples has.
+after every update to stop round-off drift.
+
+An estimator is a stack of cells (a lone one is a 1-cell stack), and
+``update`` steps each cell in plain floats: for a few cells numpy's per-call
+overhead on 3-vectors costs more than the arithmetic.  Its dots round each
+product and sum in turn where numpy's 3-term dot is a fused multiply-add
+chain, so theta differs in the last bits from the same update in numpy.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,31 +33,35 @@ from .ecm import CellParams, ocv
 
 @dataclass
 class RlsEstimator:
-    theta: np.ndarray        # shape (..., 3)
-    covariance: np.ndarray   # shape (..., 3, 3), each symmetric positive definite
+    theta: tuple            # n per-cell (theta1, theta2, theta3) floats
+    covariance: tuple       # n per-cell row-major 3x3 P, each symmetric positive definite
     forgetting_factor: float
-    trace_limit: float       # trace of the initial covariance; forgetting stays below it
-    innovation: np.ndarray = 0.0  # shape (...): y - x . theta before the last update
+    trace_limit: float      # trace of the initial covariance; forgetting stays below it
+    innovation: tuple = ()  # n per-cell y - x . theta before the last update
+
+
+def max_p0_scale(x_max: float, forgetting_factor: float) -> float:
+    """Largest p0 keeping P positive definite in floats for regressor entries up to
+    ``x_max`` >= 1: each step divides by lambda + x . P x, whose rounding error is up to
+    162 eps p0 x_max**2 (|P_ij| <= 3 p0); 2**-42 = 1024 eps keeps it under lambda / 6."""
+    return forgetting_factor * 2.0**42 / (x_max * x_max)
 
 
 def init(theta0, p0_scale: float, forgetting_factor: float) -> RlsEstimator:
-    """Fresh estimator with covariance p0_scale * I; theta0 is (3,) or (n, 3)."""
-    if not p0_scale > 0.0:
-        raise ValueError(f"p0_scale must be positive, got {p0_scale!r}")
+    """Fresh estimator with covariance p0_scale * I for each row of theta0, shape (n, 3).
+    p0_scale is bounded for regressor entries of size 1, the structural one."""
     if not 0.0 < forgetting_factor <= 1.0:
-        raise ValueError(
-            f"forgetting_factor must lie in (0, 1], got {forgetting_factor!r}"
-        )
+        raise ValueError(f"forgetting_factor must lie in (0, 1], got {forgetting_factor!r}")
+    p0_max = max_p0_scale(1.0, forgetting_factor)
+    if not 0.0 < p0_scale <= p0_max:
+        raise ValueError(f"p0_scale must lie in (0, {p0_max:.4g}], got {p0_scale!r}")
     theta = np.array(theta0, dtype=float)
-    if theta.ndim not in (1, 2) or theta.shape[-1] != 3 or not np.isfinite(theta).all():
-        raise ValueError(f"theta0 must be finite with shape (3,) or (n, 3), got {theta0!r}")
-    return RlsEstimator(
-        theta=theta,
-        covariance=np.broadcast_to(p0_scale * np.eye(3), theta.shape + (3,)).copy(),
-        forgetting_factor=forgetting_factor,
-        trace_limit=3.0 * p0_scale,
-        innovation=np.zeros(theta.shape[:-1]),
-    )
+    if theta.ndim != 2 or theta.shape[1] != 3 or not np.isfinite(theta).all():
+        raise ValueError(f"theta0 must be finite with shape (n, 3), got {theta0!r}")
+    p, n = float(p0_scale), len(theta)
+    covariance = ((p, 0.0, 0.0, 0.0, p, 0.0, 0.0, 0.0, p),) * n
+    return RlsEstimator(tuple(map(tuple, theta.tolist())), covariance, forgetting_factor,
+                        3.0 * p, (0.0,) * n)
 
 
 def warm_start_theta(params: CellParams) -> np.ndarray:
@@ -70,52 +81,52 @@ def initial_estimators(cells, warm_start, p0_scale, forgetting_factor) -> RlsEst
     return init(theta0, p0_scale, forgetting_factor)
 
 
+def regressor_rows(currents, charges, capacities) -> list[tuple[float, float, float]]:
+    """Per-cell regressors (i, q/C, 1.0) in plain floats, as ``update`` takes them."""
+    return [(i, q / c, 1.0) for i, q, c in zip(currents, charges, capacities)]
+
+
 def build_regressor(current, cumulative_charge, capacity) -> np.ndarray:
-    """Regressors [i, q/C, 1] of shape (..., 3).  The trailing 1 is structural."""
-    capacity = np.asarray(capacity, dtype=float)
-    if not (capacity > 0.0).all():
-        raise ValueError(f"capacity must be positive, got {capacity.tolist()!r}")
+    """Regressors [i, q/C, 1] of shape (..., 3) over arrays, as ``predict`` takes them."""
     current, ratio = np.asarray(current, dtype=float), np.divide(cumulative_charge, capacity)
     x = np.empty(np.broadcast(current, ratio).shape + (3,))
     x[..., 0], x[..., 1], x[..., 2] = current, ratio, 1.0
     return x
 
 
-def _dot(a: np.ndarray, b: np.ndarray):
-    """Row-wise a . b over the last axis."""
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
-
-
 def update(est: RlsEstimator, x, y) -> RlsEstimator:
-    """One RLS step with measurement pairs (x, y), x shaped like theta and y
-    like its leading axes; returns a new estimator."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != est.theta.shape:
-        raise ValueError(f"regressor must have shape {est.theta.shape}")
-    if y.shape != est.theta.shape[:-1]:
-        raise ValueError(f"measurement must have shape {est.theta.shape[:-1]}")
-    innovation = y - _dot(x, est.theta)
-    # theta is finite, so a non-finite x or y always leaves a non-finite innovation
-    if not np.isfinite(innovation).all():
-        raise ValueError("regressor and measurement must be finite")
+    """One RLS step per cell with regressor row x[j] and measurement y[j]; returns a
+    new estimator.  A bad number raises ValueError."""
     lam = est.forgetting_factor
-    px = (est.covariance @ x[..., None])[..., 0]
-    gain = px / (lam + _dot(x, px))[..., None]
-    theta = est.theta + gain * innovation[..., None]
-    # x' P == (P x)' because P is kept symmetric.
-    cov = est.covariance - gain[..., :, None] * px[..., None, :]
-    # forget only while trace(P / lambda) stays within the limit: no windup
-    forget = cov[..., 0, 0] + cov[..., 1, 1] + cov[..., 2, 2] <= lam * est.trace_limit
-    cov = np.where(forget[..., None, None], cov / lam, cov)
-    cov = 0.5 * (cov + cov.swapaxes(-1, -2))
-    return RlsEstimator(
-        theta=theta,
-        covariance=cov,
-        forgetting_factor=lam,
-        trace_limit=est.trace_limit,
-        innovation=innovation,
-    )
+    bound, isfinite = lam * est.trace_limit, math.isfinite
+    thetas, covs, errs = [], [], []
+    cells = zip(est.theta, est.covariance, x, y, strict=True)
+    for (t0, t1, t2), (p00, p01, p02, _, p11, p12, _, _, p22), (x0, x1, x2), v in cells:
+        e = v - (x0 * t0 + x1 * t1 + x2 * t2)
+        # theta is finite, so a non-finite x or y always leaves a non-finite innovation
+        if not isfinite(e):
+            raise ValueError("regressor and measurement must be finite")
+        g0 = p00 * x0 + p01 * x1 + p02 * x2
+        g1 = p01 * x0 + p11 * x1 + p12 * x2
+        g2 = p02 * x0 + p12 * x1 + p22 * x2
+        d = lam + (x0 * g0 + x1 * g1 + x2 * g2)
+        # at least lam while P is positive definite; past max_p0_scale rounding breaks it
+        if not d > 0.0:
+            raise ValueError("covariance lost positive definiteness; regressor too large")
+        k0, k1, k2 = g0 / d, g1 / d, g2 / d
+        thetas.append((t0 + k0 * e, t1 + k1 * e, t2 + k2 * e))
+        # P - k (P x)', with x' P == (P x)' because P is kept symmetric
+        c00, c11, c22 = p00 - k0 * g0, p11 - k1 * g1, p22 - k2 * g2
+        c01 = 0.5 * ((p01 - k0 * g1) + (p01 - k1 * g0))
+        c02 = 0.5 * ((p02 - k0 * g2) + (p02 - k2 * g0))
+        c12 = 0.5 * ((p12 - k1 * g2) + (p12 - k2 * g1))
+        # forget only while trace(P / lambda) stays within the limit: no windup
+        if c00 + c11 + c22 <= bound:
+            c00, c11, c22 = c00 / lam, c11 / lam, c22 / lam
+            c01, c02, c12 = c01 / lam, c02 / lam, c12 / lam
+        covs.append((c00, c01, c02, c01, c11, c12, c02, c12, c22))
+        errs.append(e)
+    return RlsEstimator(tuple(thetas), tuple(covs), lam, est.trace_limit, tuple(errs))
 
 
 def predict(est: RlsEstimator, x):
@@ -123,4 +134,4 @@ def predict(est: RlsEstimator, x):
     x = np.asarray(x, dtype=float)
     if x.shape[-1:] != (3,):
         raise ValueError("regressor must end in a 3-vector")
-    return _dot(x, est.theta)
+    return (x[..., None, :] @ np.asarray(est.theta)[..., :, None])[..., 0, 0]

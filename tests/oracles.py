@@ -246,3 +246,26 @@ def reference_pick(stds, rel: float = 0.0) -> int:
         if stds[k] < stds[best] * (1.0 - rel):
             best = k
     return best
+
+
+def numpy_rls_update(theta, covariance, forgetting_factor, trace_limit, x, y):
+    """The stacked RLS step written with numpy over (n, 3) thetas, (n, 3, 3)
+    covariances, (n, 3) regressors and (n,) measurements, every 3-vector
+    reduction a row-wise ``@``: the independent reference ``rls.update``'s
+    plain-float kernel is checked against.  Returns (theta, covariance,
+    innovation)."""
+    theta, cov, x, y = (np.asarray(a, dtype=float) for a in (theta, covariance, x, y))
+    lam = forgetting_factor
+
+    def dot(a, b):
+        return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+    innovation = y - dot(x, theta)
+    px = (cov @ x[..., None])[..., 0]
+    gain = px / (lam + dot(x, px))[..., None]
+    theta = theta + gain * innovation[..., None]
+    cov = cov - gain[..., :, None] * px[..., None, :]
+    # forget only while trace(P / lambda) stays within the limit
+    forget = cov[..., 0, 0] + cov[..., 1, 1] + cov[..., 2, 2] <= lam * trace_limit
+    cov = np.where(forget[..., None, None], cov / lam, cov)
+    return theta, 0.5 * (cov + cov.swapaxes(-1, -2)), innovation

@@ -228,21 +228,22 @@ class TestEstimatorGuarantees:
     def test_noiseless_recovery_within_fifty_samples(self):
         theta_star = np.array([0.1, -0.5, 3.7])
         rng = np.random.default_rng(31)
-        est = rls.init(np.zeros(3), 1e9, 1.0)
+        est = rls.init([np.zeros(3)], 1e9, 1.0)
         for _ in range(50):
             x = np.array([rng.uniform(-2.0, 2.0), rng.uniform(-1.0, 1.0), 1.0])
-            est = rls.update(est, x, float(x @ theta_star))
-        assert np.max(np.abs(est.theta - theta_star)) < 1e-6
+            est = rls.update(est, [tuple(x.tolist())], [float(x @ theta_star)])
+        assert np.max(np.abs(np.array(est.theta[0]) - theta_star)) < 1e-6
 
     @pytest.mark.parametrize("lam", [0.95, 0.99, 1.0])
     def test_covariance_spd_over_long_random_stream(self, lam):
         # one third of the 1e5-update budget per forgetting factor
-        est = rls.init(np.zeros(3), 1e3, lam)
+        est = rls.init([np.zeros(3)], 1e3, lam)
         rng = np.random.default_rng(int(lam * 1000))
         for k in range(33334):
-            est = rls.update(est, rng.normal(size=3), float(rng.normal()))
-            assert np.array_equal(est.covariance, est.covariance.T)
-            assert np.linalg.eigvalsh(est.covariance)[0] > 0.0, (lam, k)
+            est = rls.update(est, [tuple(rng.normal(size=3).tolist())], [float(rng.normal())])
+            p = np.array(est.covariance[0]).reshape(3, 3)
+            assert np.array_equal(p, p.T)
+            assert np.linalg.eigvalsh(p)[0] > 0.0, (lam, k)
 
 
 class TestReplayMatchesOnline:

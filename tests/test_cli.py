@@ -3,6 +3,7 @@ subcommands driven end to end as subprocesses."""
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import faulthandler
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cellbal import (
     CellParams,
@@ -1068,6 +1069,44 @@ class TestGeneratedOverrides:
         assert code in (0, 2)
         if _indexes_badly(path):
             assert code == 2
+
+
+def _finite_thetas(path) -> bool:
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    values = [float(v) for r in rows for k, v in r.items() if k.startswith("theta")]
+    return bool(values) and all(map(np.isfinite, values))
+
+
+class TestGeneratedCovariance:
+    """Any run.initial_covariance from 1e-300 to 1.79e308: simulate and identify
+    exit 0 with finite thetas, or exit 2 naming initial_covariance; none is an
+    internal error.  Scales whose updates lose positive definiteness in floating
+    point, far below any overflow, used to exit 3."""
+
+    @settings(derandomize=True, max_examples=40, deadline=None, database=None)
+    @given(st.floats(-300.0, 308.25).map(lambda e: 10.0**e))
+    @example(9e307)
+    @example(1e308)
+    @example(1.79e308)
+    @example(1e20)
+    def test_simulate_and_identify_exit_0_or_2_with_finite_theta(self, run_dir, p0):
+        setting = ["--set", f"run.initial_covariance={p0!r}"]
+        with tempfile.TemporaryDirectory() as tmp:
+            out, err = Path(tmp) / "run", io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(["simulate", *setting, "--set", "run.max_time=20", "--out", str(out)])
+            assert code in (0, 2)
+            if code == 2:
+                assert "initial_covariance" in err.getvalue()
+            else:
+                assert _finite_thetas(out / "trace.csv")
+            with contextlib.redirect_stderr(err):
+                code = main(["identify", "--trace", str(run_dir / "run" / "trace.csv"), *setting,
+                             "--out", str(Path(tmp) / "id")])
+            assert code in (0, 2)
+            if code == 0:
+                assert _finite_thetas(Path(tmp) / "id" / "identification.csv")
 
 
 def _writer_that_exits(*args):

@@ -3,6 +3,8 @@ and a frozen regression vector for the first closed-loop decision."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -386,8 +388,9 @@ class TestVectorizedScoring:
 
     def test_nan_theta_keeps_the_scan_pick(self):
         voltages, ests, accumulators, capacities, i_ext = self.STATES[0]
-        ests = rls.init(ests.theta, 1e6, 0.995)
-        ests.theta[1, 0] = np.nan
+        theta = [list(row) for row in ests.theta]
+        theta[1][0] = np.nan
+        ests = dataclasses.replace(rls.init(ests.theta, 1e6, 0.995), theta=theta)
         d = select_plan(voltages, ests, accumulators, i_ext, CONV, CFG, capacities=capacities)
         ref = reference_stds(CONV, voltages, ests, accumulators, capacities, i_ext, d.ranking)
         assert np.isnan(d.predicted_std).all() and np.isnan(ref).all()

@@ -22,6 +22,7 @@ from cellbal import (
     cycle_charge_deltas,
     rank_cells,
     representative_cell_params,
+    rls,
     run_scenario,
     select_plan,
     std,
@@ -183,6 +184,19 @@ class TestScenarioConfig:
     def test_scalar_domains(self, overrides):
         with pytest.raises(ValueError):
             make_stock_scenario(**overrides)
+
+    def test_initial_covariance_bound_follows_the_regressor_size(self):
+        # stock regressor entries stay under 0.4 A + 5 A * (2 * 4.2 V / 3 V) * (1 + 2 / 4)
+        p0_max = rls.max_p0_scale(0.4 + 5.0 * (2.0 * 4.2 / 3.0) * (1.0 + 2.0 * 1 / 4), 0.995)
+        make_stock_scenario(initial_covariance=p0_max)
+        for overrides in (
+            dict(initial_covariance=math.nextafter(p0_max, math.inf)),
+            dict(initial_covariance=9e307),
+            dict(initial_covariance=p0_max, forgetting_factor=0.9),
+            dict(initial_covariance=p0_max, converter=ConverterParams(peak_current=10.0)),
+        ):
+            with pytest.raises(ValueError, match="initial_covariance must lie in"):
+                make_stock_scenario(**overrides)
 
     @pytest.mark.parametrize("v1", [1e200, -1e200, 3.7, -4.8])
     def test_starting_rest_voltage_must_lie_in_band(self, v1):
