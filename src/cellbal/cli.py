@@ -44,6 +44,7 @@ from .harness import (
     Simulation,
     Summary,
     TraceRecord,
+    advance_charges,
 )
 from . import rls
 
@@ -553,7 +554,7 @@ def replay_identification(
                     "identify needs run.record_every=1"
                 )
             currents, dt = prev.current, rec.time - prev.time
-            charges = [q + i * dt for q, i in zip(charges, currents)]
+            charges = advance_charges(charges, currents, dt, prev.soc, rec.soc, capacities)
         est = rls.update(est, rls.regressor_rows(currents, charges, capacities), rec.voltage)
         for j, (theta, e) in enumerate(zip(est.theta, est.innovation)):
             yield (rec.time, j + 1, *theta, e)

@@ -4,25 +4,29 @@ When the cell voltages spread past a threshold, the controller ranks the
 cells, maps each of the 16 possible auxiliary switch schedules onto the top
 three, predicts every cell's voltage at the end of the resulting cycle, and
 picks the schedule whose predicted voltages have the smallest population
-standard deviation.  Predictions come either from the per-cell identified
-linear models, through ``rls.predict``, or, for verification against ground
-truth, from the true cell models themselves.
+standard deviation.  The 16 schedules run only 9 distinct cycles
+(``flyback.DISTINCT``), so each scorer predicts those 9 in plain floats and
+gives every schedule its cycle's score.  Predictions come either from the
+per-cell identified linear models, through ``rls.predict``, or, for
+verification against ground truth, from the true cell models themselves.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional, Sequence
-
-import numpy as np
 
 from . import rls
 from .ecm import CellParams, CellState, step_exact, terminal_voltage
-from .flyback import ConverterParams, SwitchPlan, charge_table
+from .flyback import CYCLE_OF, ConverterParams, SwitchPlan, distinct_cycles
 
-# "ampc" scores all 16 schedules; "greedy" runs schedule 0 on the top three
-# cells unscored; "none" never balances.
+# The 9 distinct cycles' scores as the 16 schedules' scores, in schedule order.
+_BY_SCHEDULE = itemgetter(*CYCLE_OF)
+
+# "ampc" scores the 9 distinct cycles of the 16 schedules; "greedy" runs
+# schedule 0 on the top three cells unscored; "none" never balances.
 POLICIES = ("ampc", "greedy", "none")
 
 
@@ -69,36 +73,10 @@ def std(values: Sequence[float]) -> float:
     if n == 0:
         raise ValueError("std of an empty sequence")
     mean = sum(values) / n
-    return math.sqrt(sum((v - mean) ** 2 for v in values) / n)
-
-
-def row_stds(values: np.ndarray) -> np.ndarray:
-    """``values.std(axis=1)`` bit for bit: numpy's own ufunc steps, without its wrappers."""
-    dev = values - np.add.reduce(values, axis=1, keepdims=True) / values.shape[1]
-    return np.sqrt(np.add.reduce(np.square(dev), axis=1) / values.shape[1])
-
-
-def first_min(scores: np.ndarray) -> int:
-    """``np.nanargmin(scores)`` for scores that are not all NaN, without its wrappers."""
-    return int(np.where(np.isnan(scores), np.inf, scores).argmin())
-
-
-def _cycle_currents(
-    ranking: Sequence[int],
-    conv: ConverterParams,
-    voltages: Sequence[float],
-    external_current: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-cell average currents (16, n) over every schedule's cycle, and
-    the cycle lengths (16,), in schedule order.
-
-    The converter moves charge_delta[j] coulombs into cell j over the cycle;
-    spread over the duration and added to the external (charger) current that
-    flows regardless.  A zero-length cycle leaves the external current alone.
-    """
-    deltas, duration = charge_table(conv, voltages, ranking[:3])
-    spread = np.where(duration > 0.0, duration, np.inf)
-    return external_current - deltas / spread[:, None], duration
+    squares = 0.0
+    for v in values:
+        squares += (v - mean) ** 2
+    return math.sqrt(squares / n)
 
 
 def predict_stds(
@@ -109,17 +87,18 @@ def predict_stds(
     external_current: float,
     conv: ConverterParams,
     voltages: Sequence[float],
-) -> np.ndarray:
-    """Predicted end-of-cycle voltage spread of every candidate, using the
-    identified models of the stacked estimator.
-
-    Each cell's regressor takes its cycle-average current and its charge
-    accumulator advanced by that current over the cycle.
-    """
-    currents, duration = _cycle_currents(ranking, conv, voltages, external_current)
-    q_next = np.asarray(charge_accumulators, dtype=float) + currents * duration[:, None]
-    predicted = rls.predict(estimator, rls.build_regressor(currents, q_next, capacities))
-    return row_stds(predicted)
+) -> tuple[float, ...]:
+    """Predicted end-of-cycle voltage spread of every schedule, in schedule order, from
+    the stacked estimator's identified models.  Each cell's regressor takes its average
+    current, the external (charger) one plus its charge delta spread over the cycle (none
+    for a zero-length cycle), and its charge accumulator advanced by it over the cycle."""
+    deltas, duration = distinct_cycles(conv, voltages, ranking[:3])
+    spread = duration if duration > 0.0 else math.inf
+    currents = [[external_current - d / spread for d in cell] for cell in deltas]
+    charges = [[q + i * duration for i in cell] for cell, q in zip(currents, charge_accumulators)]
+    predicted = rls.predict(estimator, currents, charges, capacities)
+    scores = [std(cycle) for cycle in zip(*predicted)]
+    return _BY_SCHEDULE(scores)
 
 
 def predict_stds_plant(
@@ -128,21 +107,20 @@ def predict_stds_plant(
     external_current: float,
     conv: ConverterParams,
     voltages: Sequence[float],
-) -> np.ndarray:
-    """Predicted end-of-cycle voltage spread of every candidate, using the
-    true cell models.
-
-    Steps every true state by its cycle-average current, then reads the
-    terminal voltage at the external current alone: all converter currents
-    are exactly zero at the end of a cycle.
-    """
-    currents, duration = _cycle_currents(ranking, conv, voltages, external_current)
-    predicted = np.empty(currents.shape)
-    for j, (params, state) in enumerate(plant):
-        for k, (current, dt) in enumerate(zip(currents[:, j].tolist(), duration.tolist())):
-            end = step_exact(params, state, current, dt)[0] if dt > 0.0 else state
-            predicted[k, j] = terminal_voltage(params, end, external_current)
-    return row_stds(predicted)
+) -> tuple[float, ...]:
+    """Predicted end-of-cycle voltage spread of every schedule, in schedule order, from
+    the true cell models: each state stepped by the cell's average current, as
+    :func:`predict_stds` forms it, and read at the external current alone, since all
+    converter currents are exactly zero at the end of a cycle."""
+    deltas, duration = distinct_cycles(conv, voltages, ranking[:3])
+    spread = duration if duration > 0.0 else math.inf
+    predicted = []
+    for (params, state), cell in zip(plant, deltas):
+        ends = [step_exact(params, state, external_current - d / spread, duration)[0]
+                if duration > 0.0 else state for d in cell]
+        predicted.append([terminal_voltage(params, end, external_current) for end in ends])
+    scores = [std(cycle) for cycle in zip(*predicted)]
+    return _BY_SCHEDULE(scores)
 
 
 def select_plan(
@@ -185,5 +163,8 @@ def select_plan(
 
     # A strict `<` scan from the all-off schedule: a NaN never wins, and a
     # NaN first score keeps the all-off schedule.
-    best = 0 if math.isnan(stds[0]) else first_min(stds)
-    return Decision(SwitchPlan(*ranking[:3], best), tuple(stds.tolist()), ranking)
+    best = 0
+    for k, score in enumerate(stds):
+        if score < stds[best]:
+            best = k
+    return Decision(SwitchPlan(*ranking[:3], best), tuple(stds), ranking)

@@ -35,17 +35,20 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Sequence
 
-import numpy as np
-
 # The 16 auxiliary schedules as (c11, c21, c12, c22), off before on, so
 # schedule k's flags are k's bits MSB first.  A plan names its schedule by
 # that index k.  Each switched cell of a schedule (target, second, third)
 # conducts for a number of half on-times and switches off after one (stage I
 # only) or two.
 SCHEDULES: tuple[tuple[bool, ...], ...] = tuple(product((False, True), repeat=4))
-_WINDOWS = tuple((2.0, float(c11 + c12), float(c21 + c22)) for c11, c21, c12, c22 in SCHEDULES)
+_WINDOWS = tuple((2, c11 + c12, c21 + c22) for c11, c21, c12, c22 in SCHEDULES)
 _OFF_AT = tuple((2.0, 2.0 - (c11 > c12), 2.0 - (c21 > c22)) for c11, c21, c12, c22 in SCHEDULES)
-_WINDOW_TABLE, _OFF_AT_TABLE = np.array(_WINDOWS), np.array(_OFF_AT)
+# Schedules with equal _WINDOWS move the same coulombs, and on cells ranked by voltage the
+# target ends each of their cycles.  DISTINCT holds the first schedule of each such group;
+# schedule k runs cycle DISTINCT[CYCLE_OF[k]].
+DISTINCT = tuple(k for k, w in enumerate(_WINDOWS) if _WINDOWS.index(w) == k)
+CYCLE_OF = tuple(DISTINCT.index(_WINDOWS.index(w)) for w in _WINDOWS)
+_HELPER_WINDOWS = tuple(_WINDOWS[k][1:] for k in DISTINCT)  # the other two cells, per cycle
 
 
 @dataclass(frozen=True)
@@ -357,29 +360,34 @@ def _winding(v_cell, window, off_at, half, l_m, fw_slope):
     return 0.5 * peak * peak / fw_slope, 0.5 * peak * ramp, half * off_at + peak / fw_slope
 
 
-def charge_table(
+def distinct_cycles(
     conv: ConverterParams, cell_voltages: Sequence[float], cells: Sequence[int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Charge deltas and lengths of the cycles of all 16 schedules at once.
-
-    ``cells`` are the target, second and third cell, the columns of one
-    :func:`_winding` pass.  Row k of the (16, n) deltas and (16,) lengths is
-    :func:`simulate_cycle`'s coulomb bookkeeping for ``SCHEDULES[k]``.
-    """
+) -> tuple[list[list[float]], float]:
+    """Each cell's charge delta in each cycle of :data:`DISTINCT`, and their common length,
+    in plain floats.  ``cells`` are the target, second and third cell ranked by descending
+    voltage, so the target, on through both windows, ends every cycle.  The target winds
+    once and the others at 0, 1 and 2 half on-times, each through :func:`_winding`."""
     n, l_m = len(cell_voltages), conv.magnetizing_inductance
     half, ratio, fw_slope = _cycle_constants(conv, cell_voltages, cells)
-    v_switched = np.array([cell_voltages[c] for c in cells])
-    fw, drain, end = _winding(v_switched, _WINDOW_TABLE, _OFF_AT_TABLE, half, l_m, fw_slope)
-    deltas = np.repeat(ratio * (fw[:, 0] + fw[:, 1] + fw[:, 2])[:, None], n, axis=1)
-    deltas[:, list(cells)] -= drain
-    return deltas, end.max(axis=1)
+    fw0, drain0, length = _winding(cell_voltages[cells[0]], 2, 2, half, l_m, fw_slope)
+    v_second, v_third = cell_voltages[cells[1]], cell_voltages[cells[2]]
+    second = [_winding(v_second, w, 2, half, l_m, fw_slope) for w in (0, 1, 2)]
+    third = [_winding(v_third, w, 2, half, l_m, fw_slope) for w in (0, 1, 2)]
+    helpers = [(second[w1], third[w2]) for w1, w2 in _HELPER_WINDOWS]
+    secondary = [ratio * (fw0 + fw1 + fw2) for (fw1, _, _), (fw2, _, _) in helpers]
+    deltas = [secondary] * n
+    deltas[cells[0]] = [s - drain0 for s in secondary]
+    deltas[cells[1]] = [s - h[0][1] for s, h in zip(secondary, helpers)]
+    deltas[cells[2]] = [s - h[1][1] for s, h in zip(secondary, helpers)]
+    return deltas, length
 
 
 def cycle_charge_deltas(
     conv: ConverterParams, cell_voltages: Sequence[float], plan: SwitchPlan
 ) -> tuple[tuple[float, ...], float]:
-    """Row ``plan.schedule`` of :func:`charge_table` from the same expressions in plain
-    floats: per-cell charge deltas and cycle duration, as the simulation applies them."""
+    """Per-cell charge deltas and duration of the cycle the simulation applies, in plain
+    floats: :func:`distinct_cycles`' windings, but it ends with its last winding, as the
+    true voltages need not rank the plan's cells."""
     cells = (plan.target_cell, plan.second_cell, plan.third_cell)
     k, l_m = plan.schedule, conv.magnetizing_inductance
     half, ratio, fw_slope = _cycle_constants(conv, cell_voltages, cells)

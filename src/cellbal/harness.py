@@ -178,13 +178,16 @@ class ScenarioConfig:
                     f"cell {j} capacity_coulombs {p.capacity_coulombs!r} C does not exceed "
                     f"the {drained:.3g} C one nominal converter cycle drains"
                 )
-        # the largest regressor entry: |q/C| <= 1 while no reservoir limit clamps the SOC,
-        # and a current under the charger's plus a winding's drain and freewheel, each
-        # under the peak current scaled by the widest voltage ratio, 2 v_max / v_min
+        # The largest regressor entry.  A current stays under the charger's plus a winding's
+        # drain and freewheel, each under the peak current scaled by the widest voltage
+        # ratio, 2 v_max / v_min.  q counts only charge that moves the SOC (advance_charges),
+        # so |q/C| <= 1, but a leak moves it uncounted: the run's charge bounds that q/C.
         ratio = 2.0 * max(p.v_max for p, _ in self.cells) / v_floor
         i_max = abs(self.charger.cc_current) + c.peak_current * ratio * (
             1.0 + 2.0 * c.turns_primary / c.turns_secondary)
-        p0_max = rls.max_p0_scale(max(1.0, i_max), self.forgetting_factor)
+        leaky = [p.capacity_coulombs for p, _ in self.cells if p.self_discharge_resistance]
+        q_max = i_max * self.max_time / min(leaky) if leaky else 1.0
+        p0_max = rls.max_p0_scale(max(1.0, i_max, q_max), self.forgetting_factor)
         if not 0.0 < self.initial_covariance <= p0_max:
             raise ValueError(
                 f"initial_covariance must lie in (0, {p0_max:.4g}] for this scenario's "
@@ -227,6 +230,14 @@ class Summary:
     time_avg_voltage_std: float
     gap_uniformity: float                # time-averaged std of sorted-voltage gaps
     converter_coulombs: float            # charge drawn through the converter
+
+
+def advance_charges(charges, currents, dt, socs, socs_next, capacities) -> list[float]:
+    """Each cell's charge accumulator after a step, from what a trace records: plus the
+    charge its current moves, or only its SOC's change when the step ends at a reservoir
+    limit, so the estimator does not count the charge that the clamp refuses."""
+    return [q + ((s - s_next) * c if s_next == 0.0 or s_next == 1.0 else i * dt)
+            for q, i, s, s_next, c in zip(charges, currents, socs, socs_next, capacities)]
 
 
 def _sorted_gap_std(voltages: Sequence[float]) -> float:
@@ -475,7 +486,8 @@ class Simulation:
                 self.events.append(
                     (self.time, "saturation", f"cell {j} hit a reservoir limit")
                 )
-            self.accumulators[j] += currents[j] * dt
+        self.accumulators = advance_charges(self.accumulators, currents, dt, rec.soc,
+                                            [s.soc for s in self.states], self.capacities)
         self._last_currents = currents
         self.time = end
         self.cycle += 1

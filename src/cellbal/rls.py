@@ -15,10 +15,10 @@ grow P without bound (covariance windup).  The covariance is re-symmetrized
 after every update to stop round-off drift.
 
 An estimator is a stack of cells (a lone one is a 1-cell stack), and
-``update`` steps each cell in plain floats: for a few cells numpy's per-call
-overhead on 3-vectors costs more than the arithmetic.  Its dots round each
-product and sum in turn where numpy's 3-term dot is a fused multiply-add
-chain, so theta differs in the last bits from the same update in numpy.
+``update`` and ``predict`` step each cell in plain floats: for a few cells
+numpy's per-call overhead on 3-vectors costs more than the arithmetic.  Their
+dots round each product and sum in turn where numpy's 3-term dot is a fused
+multiply-add chain, so results differ in the last bits from numpy's.
 """
 
 from __future__ import annotations
@@ -86,14 +86,6 @@ def regressor_rows(currents, charges, capacities) -> list[tuple[float, float, fl
     return [(i, q / c, 1.0) for i, q, c in zip(currents, charges, capacities)]
 
 
-def build_regressor(current, cumulative_charge, capacity) -> np.ndarray:
-    """Regressors [i, q/C, 1] of shape (..., 3) over arrays, as ``predict`` takes them."""
-    current, ratio = np.asarray(current, dtype=float), np.divide(cumulative_charge, capacity)
-    x = np.empty(np.broadcast(current, ratio).shape + (3,))
-    x[..., 0], x[..., 1], x[..., 2] = current, ratio, 1.0
-    return x
-
-
 def update(est: RlsEstimator, x, y) -> RlsEstimator:
     """One RLS step per cell with regressor row x[j] and measurement y[j]; returns a
     new estimator.  A bad number raises ValueError."""
@@ -129,9 +121,11 @@ def update(est: RlsEstimator, x, y) -> RlsEstimator:
     return RlsEstimator(tuple(thetas), tuple(covs), lam, est.trace_limit, tuple(errs))
 
 
-def predict(est: RlsEstimator, x):
-    """Model outputs theta . x for regressors of shape (..., 3), broadcast over theta."""
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1:] != (3,):
-        raise ValueError("regressor must end in a 3-vector")
-    return (x[..., None, :] @ np.asarray(est.theta)[..., :, None])[..., 0, 0]
+def predict(est: RlsEstimator, currents, charges, capacities) -> list[list[float]]:
+    """Each cell's model outputs theta_j . (i, q/C, 1.0) for the currents i in currents[j]
+    and the charges q in charges[j], in plain floats: the dot ``update`` takes its
+    innovation against, over the regressors ``regressor_rows`` would build (1.0 * t2 is
+    t2 in every bit)."""
+    cells = zip(est.theta, currents, charges, capacities, strict=True)
+    return [[i * t0 + q / c * t1 + t2 for i, q in zip(ii, qq, strict=True)]
+            for (t0, t1, t2), ii, qq, c in cells]

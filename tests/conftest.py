@@ -7,11 +7,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+from hypothesis import strategies as st
+
 from cellbal import (
     CellState,
     ConverterParams,
     ScenarioConfig,
     representative_cell_params,
+    rls,
 )
 
 STOCK_SOCS = (0.60, 0.50, 0.45, 0.40)
@@ -50,3 +53,37 @@ def make_stock_scenario(policy: str = "ampc", **overrides) -> ScenarioConfig:
     )
     kwargs.update(overrides)
     return ScenarioConfig(**kwargs)
+
+
+# Converters from 0.1 mH to 100 mH and any turns, an idle one (zero peak) included.
+CONVERTERS = st.builds(
+    ConverterParams,
+    magnetizing_inductance=st.floats(1e-4, 0.1),
+    turns_primary=st.integers(1, 3),
+    turns_secondary=st.integers(1, 8),
+    peak_current=st.floats(0.5, 10.0) | st.just(0.0),
+)
+
+
+@st.composite
+def scoring_states(draw):
+    """A scorer's inputs on a stack of 4 to 8 cells: a converter, measured voltages, a
+    stacked estimator scattered around the warm start, charge accumulators, capacities,
+    the charger current and a plant of representative cells at their own SOCs."""
+    n = draw(st.integers(4, 8))
+
+    def cells(values):
+        return draw(st.lists(values, min_size=n, max_size=n))
+
+    warm = rls.warm_start_theta(representative_cell_params())
+    theta = cells(st.tuples(*(st.floats(t - 1.0, t + 1.0) for t in warm)))
+    params = representative_cell_params()
+    return dict(
+        conv=draw(CONVERTERS),
+        voltages=cells(st.floats(2.8, 4.4)),
+        estimator=rls.init(theta, 1e6, 0.995),
+        accumulators=cells(st.floats(-5000.0, 5000.0)),
+        capacities=cells(st.floats(100.0, 10000.0)),
+        i_ext=draw(st.sampled_from([0.0, -0.4]) | st.floats(-2.0, 0.0)),
+        plant=[(params, CellState(soc=s)) for s in cells(st.floats(0.05, 0.95))],
+    )

@@ -9,14 +9,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from cellbal import CellParams, CellState, ConverterParams, SwitchPlan, rls, std
-from cellbal.flyback import SCHEDULES, simulate_cycle
+from cellbal import CellParams, CellState, ConverterParams, SwitchPlan, std
+from cellbal.ecm import step_exact, terminal_voltage
+from cellbal.flyback import (
+    _OFF_AT,
+    _WINDOWS,
+    SCHEDULES,
+    _cycle_constants,
+    _winding,
+    simulate_cycle,
+)
 
 # np.trapezoid is new in numpy 2.0, which deprecates np.trapz; pyproject.toml
 # allows numpy 1.24, so fall back to trapz there.
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
-
-
 
 def _stage_grid(duration: float, step: float) -> np.ndarray:
     if duration <= 0.0:
@@ -223,7 +229,7 @@ def reference_stds(
     ranking,
 ) -> list[float]:
     """Predicted end-of-cycle spread of each candidate, one candidate at a
-    time: the full waveform cycle, then one ``rls.predict`` over the cells'
+    time: the full waveform cycle, then one ``numpy_predict`` over the cells'
     (n, 3) regressors."""
     out = []
     for k in range(len(SCHEDULES)):
@@ -233,8 +239,8 @@ def reference_stds(
         if duration > 0.0:
             currents = external_current - np.array(res.charge_delta) / duration
         q_next = np.asarray(accumulators, dtype=float) + currents * duration
-        x = rls.build_regressor(currents, q_next, capacities)
-        out.append(std(rls.predict(estimator, x).tolist()))
+        x = build_regressor(currents, q_next, capacities)
+        out.append(std(numpy_predict(estimator, x).tolist()))
     return out
 
 
@@ -269,3 +275,90 @@ def numpy_rls_update(theta, covariance, forgetting_factor, trace_limit, x, y):
     forget = cov[..., 0, 0] + cov[..., 1, 1] + cov[..., 2, 2] <= lam * trace_limit
     cov = np.where(forget[..., None, None], cov / lam, cov)
     return theta, 0.5 * (cov + cov.swapaxes(-1, -2)), innovation
+
+
+# An array scorer: every schedule's cycle in one numpy pass over the (16, 3)
+# switched windings, one ``numpy_predict`` over the (16, n, 3) regressors and
+# numpy's row-wise std.  It is the reference the plain-float scorers, which
+# score only the 9 distinct cycles, are checked against, and ``charge_table``
+# that of the converter's conservation tests.
+
+_WINDOW_TABLE, _OFF_AT_TABLE = np.array(_WINDOWS), np.array(_OFF_AT)
+
+
+def charge_table(conv: ConverterParams, cell_voltages, cells):
+    """Charge deltas and lengths of the cycles of all 16 schedules at once.
+
+    ``cells`` are the target, second and third cell, the columns of one
+    ``_winding`` pass.  Row k of the (16, n) deltas and (16,) lengths is
+    ``simulate_cycle``'s coulomb bookkeeping for ``SCHEDULES[k]``.
+    """
+    n, l_m = len(cell_voltages), conv.magnetizing_inductance
+    half, ratio, fw_slope = _cycle_constants(conv, cell_voltages, cells)
+    v_switched = np.array([cell_voltages[c] for c in cells])
+    fw, drain, end = _winding(v_switched, _WINDOW_TABLE, _OFF_AT_TABLE, half, l_m, fw_slope)
+    deltas = np.repeat(ratio * (fw[:, 0] + fw[:, 1] + fw[:, 2])[:, None], n, axis=1)
+    deltas[:, list(cells)] -= drain
+    return deltas, end.max(axis=1)
+
+
+def build_regressor(current, cumulative_charge, capacity) -> np.ndarray:
+    """Regressors [i, q/C, 1] of shape (..., 3) over arrays, as ``numpy_predict`` takes them."""
+    current, ratio = np.asarray(current, dtype=float), np.divide(cumulative_charge, capacity)
+    x = np.empty(np.broadcast(current, ratio).shape + (3,))
+    x[..., 0], x[..., 1], x[..., 2] = current, ratio, 1.0
+    return x
+
+
+def numpy_predict(est, x):
+    """Model outputs theta . x for regressors of shape (..., 3), broadcast over theta."""
+    x = np.asarray(x, dtype=float)
+    if x.shape[-1:] != (3,):
+        raise ValueError("regressor must end in a 3-vector")
+    return (x[..., None, :] @ np.asarray(est.theta)[..., :, None])[..., 0, 0]
+
+
+def row_stds(values: np.ndarray) -> np.ndarray:
+    """``values.std(axis=1)`` bit for bit: numpy's own ufunc steps, without its wrappers."""
+    dev = values - np.add.reduce(values, axis=1, keepdims=True) / values.shape[1]
+    return np.sqrt(np.add.reduce(np.square(dev), axis=1) / values.shape[1])
+
+
+def first_min(scores: np.ndarray) -> int:
+    """``np.nanargmin(scores)`` for scores that are not all NaN, without its wrappers."""
+    return int(np.where(np.isnan(scores), np.inf, scores).argmin())
+
+
+def _cycle_currents(ranking, conv, voltages, external_current):
+    """Per-cell average currents (16, n) over every schedule's cycle, and the
+    cycle lengths (16,); a zero-length cycle leaves the external current alone."""
+    deltas, duration = charge_table(conv, voltages, ranking[:3])
+    spread = np.where(duration > 0.0, duration, np.inf)
+    return external_current - deltas / spread[:, None], duration
+
+
+def numpy_predict_stds(
+    ranking, estimator, charge_accumulators, capacities, external_current, conv, voltages
+) -> np.ndarray:
+    """All 16 predicted spreads from the identified models, in one array pass."""
+    currents, duration = _cycle_currents(ranking, conv, voltages, external_current)
+    q_next = np.asarray(charge_accumulators, dtype=float) + currents * duration[:, None]
+    predicted = numpy_predict(estimator, build_regressor(currents, q_next, capacities))
+    return row_stds(predicted)
+
+
+def numpy_predict_stds_plant(ranking, plant, external_current, conv, voltages) -> np.ndarray:
+    """All 16 predicted spreads from the true models, 16 x n ``step_exact`` calls."""
+    currents, duration = _cycle_currents(ranking, conv, voltages, external_current)
+    predicted = np.empty(currents.shape)
+    for j, (params, state) in enumerate(plant):
+        for k, (current, dt) in enumerate(zip(currents[:, j].tolist(), duration.tolist())):
+            end = step_exact(params, state, current, dt)[0] if dt > 0.0 else state
+            predicted[k, j] = terminal_voltage(params, end, external_current)
+    return row_stds(predicted)
+
+
+def numpy_pick(stds: np.ndarray) -> int:
+    """The array scorer's pick: a NaN first score keeps schedule 0, and otherwise
+    the first smallest score wins and a NaN never does."""
+    return 0 if np.isnan(stds[0]) else first_min(stds)

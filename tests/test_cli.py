@@ -31,6 +31,7 @@ from cellbal import (
     TraceRecord,
     harness,
     representative_cell_params,
+    rls,
     run_scenario,
     std,
     summarize,
@@ -981,15 +982,20 @@ GENERATED_RUNS = st.fixed_dictionaries({
 })
 
 
+def _generated_scenario(run, **overrides) -> ScenarioConfig:
+    cells = [(representative_cell_params(), CellState(soc=s)) for s in run["socs"]]
+    return make_stock_scenario(
+        run["policy"], cells=cells, noise_std=run["noise_std"], seed=run["seed"],
+        warm_start=run["warm_start"], max_time=run["max_time"], **overrides,
+    )
+
+
 class TestGeneratedRuns:
     @settings(derandomize=True, max_examples=50, deadline=None, database=None)
     @given(GENERATED_RUNS)
     def test_trace_round_trip_and_replay_match_the_run(self, run):
-        cells = [(representative_cell_params(), CellState(soc=s)) for s in run["socs"]]
-        scenario = make_stock_scenario(
-            run["policy"], cells=cells, noise_std=run["noise_std"], seed=run["seed"],
-            warm_start=run["warm_start"], max_time=run["max_time"],
-        )
+        scenario = _generated_scenario(run)
+        cells = scenario.cells
         trace, _ = run_scenario(scenario)
         n = len(cells)
         assert 0 < len(trace) <= 320
@@ -1001,6 +1007,13 @@ class TestGeneratedRuns:
         assert len(replayed) == n * len(trace)
         recorded = [theta for rec in trace for theta in rec.theta]
         assert replayed[:-n] == recorded[:-n]
+
+    @settings(derandomize=True, max_examples=20, deadline=None, database=None)
+    @given(GENERATED_RUNS)
+    def test_soc_stays_in_range_and_the_summary_ignores_record_every(self, run):
+        runs = [run_scenario(_generated_scenario(run, record_every=k)) for k in (1, 3, 7)]
+        assert all(0.0 <= s <= 1.0 for rec in runs[0][0] for s in rec.soc)
+        assert runs[1][1] == runs[0][1] and runs[2][1] == runs[0][1]
 
 
 _STOCK = effective_config({})
@@ -1069,6 +1082,65 @@ class TestGeneratedOverrides:
         assert code in (0, 2)
         if _indexes_badly(path):
             assert code == 2
+
+
+@st.composite
+def saturating_configs(draw):
+    """Four small cells near an empty or a full reservoir with every charger limit lifted
+    above them, so the charger or the converter drives them into a clamp and holds them
+    there; a long idle run or a shorter balancing one; the initial covariance near the
+    scenario's bound, 2**42 lambda / x_max**2 for the regressor bound x_max of
+    ScenarioConfig's check."""
+    socs = draw(st.lists(st.floats(0.0, 0.02) | st.floats(0.98, 1.0), min_size=4, max_size=4))
+    capacity = draw(st.floats(1.0, 100.0))
+    r_sd = draw(st.none() | st.floats(1e2, 1e6))
+    cc = draw(st.floats(-3.0, -0.1))
+    policy = draw(st.sampled_from(["none", "greedy", "ampc"]))
+    max_time = draw(st.floats(1e3, 1e5) if policy == "none" else st.floats(5.0, 30.0))
+    lam = draw(st.sampled_from([1.0, 0.995, 0.95]))
+    i_max = -cc + 5.0 * (2.0 * 6.0 / 3.0) * (1.0 + 2.0 / 4.0)
+    x_max = max(i_max, i_max * max_time / capacity if r_sd else 1.0)
+    cell = {"capacity_coulombs": capacity, "v_max": 6.0, "self_discharge_resistance": r_sd}
+    return {
+        "cells": [{"soc": soc, **cell} for soc in socs],
+        "charger": {"mode": draw(st.sampled_from(["cc_cv", "idle"])), "cc_current": cc,
+                    "cv_cell_voltage": 5.9, "cell_voltage_limit": 6.0},
+        "run": {"policy": policy, "max_time": max_time, "idle_dt": max(1.0, max_time / 500),
+                "forgetting_factor": lam, "warm_start": draw(st.booleans()),
+                "initial_covariance": draw(st.floats(0.5, 1.0)) * rls.max_p0_scale(x_max, lam),
+                "record_every": 10**6},
+    }
+
+
+class TestSaturatingRuns:
+    """Runs that hold cells at a reservoir limit exit 0 with finite thetas or 2,
+    never 3: the estimator's q/C stops where the SOC clamps, so the covariance
+    bound's regressor size holds."""
+
+    @settings(derandomize=True, max_examples=30, deadline=None, database=None)
+    @given(saturating_configs())
+    def test_simulate_exits_0_or_2(self, config):
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out = Path(tmp) / "config.json", Path(tmp) / "run"
+            path.write_text(json.dumps(config))
+            code = main(["simulate", "--config", str(path), "--out", str(out)])
+            assert code in (0, 2)
+            if code == 0:
+                assert _finite_thetas(out / "trace.csv")
+
+    def test_the_accumulator_stops_at_the_clamp(self):
+        # a full cell charged for 100 s: the charge the clamp refuses is not counted
+        cells = [(representative_cell_params(capacity_coulombs=10.0, v_max=6.0), CellState(1.0))]
+        charger = ChargerConfig(cv_cell_voltage=5.9, cell_voltage_limit=6.0)
+        sim = Simulation(make_stock_scenario("none", cells=cells * 4, charger=charger,
+                                             max_time=100.0))
+        trace = list(sim.stream())
+        assert any(kind == "saturation" for _, kind, _ in sim.events)
+        assert trace[-1].soc == (1.0,) * 4 and sim.accumulators == [0.0] * 4
+        replayed = list(replay_identification(iter(trace), sim.cfg))
+        assert [tuple(r[2:5]) for r in replayed[:-4]] == [
+            theta for rec in trace[:-1] for theta in rec.theta
+        ]
 
 
 def _finite_thetas(path) -> bool:

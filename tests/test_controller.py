@@ -7,6 +7,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 from scipy.optimize import brentq
 
 import cellbal.controller as controller
@@ -26,8 +27,16 @@ from cellbal import (
     std,
 )
 from cellbal.flyback import SCHEDULES, SwitchPlan
-from conftest import make_stock_scenario
-from oracles import reference_pick, reference_stds
+from conftest import make_stock_scenario, scoring_states
+from oracles import (
+    first_min,
+    numpy_pick,
+    numpy_predict_stds,
+    numpy_predict_stds_plant,
+    reference_pick,
+    reference_stds,
+    row_stds,
+)
 
 CONV = ConverterParams(magnetizing_inductance=0.01)
 CFG = ControllerConfig()
@@ -155,7 +164,7 @@ class TestStd:
 
 
 class TestScoreReductions:
-    """The scorer's written-out reductions are numpy's own steps."""
+    """The array oracle's written-out reductions are numpy's own steps."""
 
     @staticmethod
     def tables(seed: int):
@@ -169,7 +178,7 @@ class TestScoreReductions:
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_row_stds_is_numpy_std_bit_for_bit(self):
         for table in self.tables(11):
-            assert controller.row_stds(table).tobytes() == table.std(axis=1).tobytes()
+            assert row_stds(table).tobytes() == table.std(axis=1).tobytes()
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_first_min_is_nanargmin(self):
@@ -179,10 +188,10 @@ class TestScoreReductions:
             for k in rng.integers(0, 16, size=int(rng.integers(0, 4))):
                 scores[k] = np.nan  # first and later positions
             if not np.isnan(scores).all():
-                assert controller.first_min(scores) == np.nanargmin(scores)
+                assert first_min(scores) == np.nanargmin(scores)
         for scores in ([np.nan, 2.0, 1.0, 1.0], [np.inf, np.nan, np.inf], [-np.inf, 0.0, -np.inf]):
             scores = np.array(scores)
-            assert controller.first_min(scores) == np.nanargmin(scores)
+            assert first_min(scores) == np.nanargmin(scores)
 
 
 class TestControllerConfig:
@@ -225,14 +234,14 @@ class TestPredictions:
         got = predict_stds(
             self.RANKING, ests, [0.0] * 4, [2880.0] * 4, 0.0, CONV, self.VOLTAGES
         )
-        assert got.tolist() == [expect] * len(SCHEDULES)
+        assert list(got) == [expect] * len(SCHEDULES)
 
     def test_equal_constants_predict_zero(self):
         ests = constant_estimators([3.9] * 4)
         got = predict_stds(
             self.RANKING, ests, [0.0] * 4, [2880.0] * 4, -0.4, CONV, self.VOLTAGES
         )
-        assert got.tolist() == [0.0] * len(SCHEDULES)
+        assert list(got) == [0.0] * len(SCHEDULES)
 
     def test_plant_predictions_never_worsen_single_outlier(self):
         # one cell 50 mV above three equal ones: every schedule drains the
@@ -356,8 +365,8 @@ class TestFirstDecisionGolden:
 
 
 class TestVectorizedScoring:
-    """All 16 candidates scored in one array pass agree with scoring them
-    one at a time through the full waveform cycle and ``rls.predict``."""
+    """The 16 scores ``select_plan`` keeps agree with scoring each candidate
+    on its own through the full waveform cycle and numpy's dot."""
 
     STATES = random_scoring_states(150, seed=20261018)
 
@@ -368,7 +377,7 @@ class TestVectorizedScoring:
             np.testing.assert_allclose(d.predicted_std, ref, rtol=1e-12, atol=0.0)
             k = d.plan.schedule
             assert k == reference_pick(d.predicted_std)
-            # window-swapped twins tie exactly in the table but only to
+            # window-swapped twins tie exactly in the scorer but only to
             # rounding in the waveform cycle, so the reference scan needs a
             # margin to treat them as the tie they are
             assert k == reference_pick(ref, rel=1e-12)
@@ -413,3 +422,34 @@ class TestVectorizedScoring:
             capacities=[2880.0] * 4,
         )
         assert d.plan.schedule == reference_pick(scores)
+
+
+class TestDistinctScoring:
+    """Both scorers score the 9 distinct cycles in plain floats and agree with
+    the array oracle, which scores all 16 in numpy: every score to rounding,
+    each window-swapped group's tie exactly, and the pick."""
+
+    @staticmethod
+    def check(got, ref):
+        assert len(got) == len(SCHEDULES) and all(type(v) is float for v in got)
+        # a spread of equal predictions can round to 0 in one sum order and to an
+        # ulp of the voltages in the other, so 1e-14 V is the floor of the tolerance
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-14)
+        for group in WINDOW_SWAP_GROUPS:
+            assert len({got[k] for k in group}) == 1, group
+        assert reference_pick(got) == numpy_pick(ref)
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(scoring_states())
+    def test_identified_models(self, state):
+        args = (state["estimator"], state["accumulators"], state["capacities"], state["i_ext"],
+                state["conv"], state["voltages"])
+        ranking = rank_cells(state["voltages"])
+        self.check(predict_stds(ranking, *args), numpy_predict_stds(ranking, *args))
+
+    @settings(derandomize=True, max_examples=100, deadline=None, database=None)
+    @given(scoring_states())
+    def test_true_models(self, state):
+        args = (state["plant"], state["i_ext"], state["conv"], state["voltages"])
+        ranking = rank_cells(state["voltages"])
+        self.check(predict_stds_plant(ranking, *args), numpy_predict_stds_plant(ranking, *args))

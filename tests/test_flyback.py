@@ -7,16 +7,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cellbal import ConverterParams, SwitchPlan, compute_t_on, cycle_charge_deltas
+from cellbal import ConverterParams, SwitchPlan, compute_t_on, cycle_charge_deltas, rank_cells
 from cellbal.flyback import (
+    CYCLE_OF,
+    DISTINCT,
     SCHEDULES,
     CycleTiming,
     PiecewiseLinear,
-    charge_table,
+    distinct_cycles,
     simulate_cycle,
 )
-from oracles import fine_cycle_deltas, integrate_pwl_between
+from conftest import CONVERTERS
+from oracles import charge_table, fine_cycle_deltas, integrate_pwl_between
 
 SMALL = ConverterParams(magnetizing_inductance=1e-4, peak_current=2.0)
 
@@ -343,3 +347,33 @@ class TestCycleInvariants:
                     assert res.conducted_charge[j] > 0.0
                 else:
                     assert res.conducted_charge[j] == 0.0
+
+
+class TestDistinctCycles:
+    """The 16 schedules run 9 distinct cycles: on cells ranked by voltage, the
+    table rows of each window-swapped group are bit-identical, and
+    ``distinct_cycles`` is the table's ``DISTINCT`` rows, bit for bit."""
+
+    GROUPS = ((1, 4), (2, 8), (3, 6, 9, 12), (7, 13), (11, 14))
+
+    def test_representatives_and_expansion(self):
+        assert DISTINCT == (0, 1, 2, 3, 5, 7, 10, 11, 15)
+        groups: dict[int, list[int]] = {}
+        for k, c in enumerate(CYCLE_OF):
+            groups.setdefault(DISTINCT[c], []).append(k)
+        assert all(group[0] == first for first, group in groups.items())
+        assert sorted(tuple(g) for g in groups.values() if len(g) > 1) == sorted(self.GROUPS)
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(CONVERTERS, st.lists(st.floats(0.5, 4.5), min_size=4, max_size=8))
+    def test_groups_tie_and_the_cycles_are_the_table_rows(self, conv, voltages):
+        cells = rank_cells(voltages)[:3]
+        table, t3 = charge_table(conv, voltages, cells)
+        for group in self.GROUPS:
+            assert len({table[k].tobytes() for k in group}) == 1, group
+        deltas, length = distinct_cycles(conv, voltages, cells)
+        assert [[d.hex() for d in cell] for cell in deltas] == [
+            [float(table[k, j]).hex() for k in DISTINCT] for j in range(len(voltages))
+        ]
+        # the target ends every schedule's cycle
+        assert {float(t).hex() for t in t3} == {length.hex()}

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cellbal import build_regressor, ocv, representative_cell_params, rls, warm_start_theta
-from oracles import numpy_rls_update
+from cellbal import ocv, representative_cell_params, rls, warm_start_theta
+from oracles import build_regressor, numpy_predict, numpy_rls_update
 
 THETA_STAR = np.array([0.1, -0.5, 3.7])
 
@@ -234,20 +234,50 @@ class TestUpdate:
 class TestPredict:
     def test_constant_model(self):
         est = lone((0.0, 0.0, 3.7), 1.0, 1.0)
-        for x in ([0.0, 0.0, 1.0], [5.0, -3.0, 1.0]):
-            assert rls.predict(est, [x])[0] == 3.7
+        for current, charge in ((0.0, 0.0), (5.0, -3.0)):
+            assert rls.predict(est, [[current]], [[charge]], [1.0]) == [[3.7]]
 
     def test_dot_product(self):
         est = lone(THETA_STAR, 1.0, 1.0)
-        assert rls.predict(est, [[2.0, 0.1, 1.0]])[0] == pytest.approx(3.85, rel=1e-15)
+        predicted = rls.predict(est, [[2.0]], [[288.0]], [2880.0])[0][0]
+        assert predicted == pytest.approx(3.85, rel=1e-15)
 
     def test_zero_model(self):
         est = lone(np.zeros(3), 1.0, 1.0)
-        assert rls.predict(est, [[4.0, 1.0, 1.0]])[0] == 0.0
+        assert rls.predict(est, [[4.0]], [[1.0]], [1.0]) == [[0.0]]
 
     def test_shape_check(self):
+        # one list of currents and one of charges per cell of the stack, of equal lengths
         with pytest.raises(ValueError):
-            rls.predict(lone(np.zeros(3), 1.0, 1.0), np.ones(2))
+            rls.predict(lone(np.zeros(3), 1.0, 1.0), [[1.0, 2.0]], [[1.0]], [1.0])
+        with pytest.raises(ValueError):
+            rls.predict(lone(np.zeros(3), 1.0, 1.0), [[1.0]] * 2, [[1.0]] * 2, [1.0] * 2)
+
+    @settings(derandomize=True, max_examples=100, deadline=None, database=None)
+    @given(st.integers(1, 8), st.integers(1, 16), st.integers(0, 2**32 - 1))
+    def test_matches_the_numpy_dot(self, n, rows, seed):
+        # regressors and models of a cell's size: currents to 10 A, q/C to 2,
+        # theta about the warm start, so no prediction cancels to near zero
+        rng = np.random.default_rng(seed)
+        warm = warm_start_theta(representative_cell_params())
+        est = rls.init(warm + rng.uniform(-1.0, 1.0, size=(n, 3)), 1.0, 1.0)
+        currents, capacities = rng.uniform(-10.0, 10.0, (n, rows)), rng.uniform(2e3, 4e3, n)
+        charges = rng.uniform(-2.0, 2.0, (n, rows)) * capacities[:, None]
+        got = rls.predict(est, currents.tolist(), charges.tolist(), capacities.tolist())
+        ref = numpy_predict(est, build_regressor(currents.T, charges.T, capacities))
+        np.testing.assert_allclose(np.transpose(got), ref, rtol=1e-12, atol=0.0)
+
+    def test_is_the_dot_of_the_innovation(self):
+        rng = np.random.default_rng(41)
+        est = rls.init(rng.normal(size=(4, 3)), 1e3, 0.98)
+        for _ in range(200):
+            currents, charges = rng.normal(size=4).tolist(), rng.normal(0.0, 300.0, 4).tolist()
+            capacities = rng.uniform(2e3, 4e3, 4).tolist()
+            y = rng.normal(3.7, 0.2, size=4).tolist()
+            predicted = rls.predict(est, [[i] for i in currents], [[q] for q in charges],
+                                    capacities)
+            est = rls.update(est, rls.regressor_rows(currents, charges, capacities), y)
+            assert est.innovation == tuple(v - p for v, (p,) in zip(y, predicted))
 
 
 class TestConvergence:
@@ -268,7 +298,7 @@ class TestConvergence:
         for _ in range(40):
             x = exciting_regressor(rng)
             y = float(x @ THETA_STAR)
-            errs.append(abs(y - rls.predict(est, [x])[0]))
+            errs.append(abs(y - rls.predict(est, [[x[0]]], [[x[1]]], [1.0])[0][0]))
             est = step(est, x, y)
         for k in range(3, len(errs) - 1):
             assert errs[k + 1] <= errs[k] + 1e-9, f"error rose at sample {k + 1}"
@@ -367,7 +397,11 @@ class TestStacked:
             assert stacked.theta == tuple(e.theta[0] for e in singles)
             assert stacked.covariance == tuple(e.covariance[0] for e in singles)
             assert stacked.innovation == tuple(e.innovation[0] for e in singles)
-            candidates = rng.normal(size=(16, 4, 3))
-            expected = [[rls.predict(e, c[j])[0] for j, e in enumerate(singles)] for c in candidates]
-            assert np.array_equal(rls.predict(stacked, candidates), expected)
+            # 16 candidate currents and charges per cell
+            cands = rng.normal(size=(2, 4, 16)).tolist() + [rng.uniform(2e3, 4e3, 4).tolist()]
+            expected = [
+                rls.predict(e, [cands[0][j]], [cands[1][j]], [cands[2][j]])[0]
+                for j, e in enumerate(singles)
+            ]
+            assert rls.predict(stacked, *cands) == expected
 
