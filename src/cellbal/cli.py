@@ -301,7 +301,8 @@ def _write_csv(
     failure leaves none."""
     import multiprocessing  # here, so importing this module does not pay for it
 
-    # fork on Linux: spawn re-imports numpy (0.1-0.2 s), and the writer calls no BLAS
+    # fork on Linux: a spawned writer imports this module in a fresh interpreter,
+    # 0.18 s against 7 ms forked (2-core x86 VM), and it only formats and writes
     ctx = multiprocessing.get_context("fork" if sys.platform == "linux" else None)
     files = [(f"{path}.partial", header, convert) for path, header, convert in outputs]
     blocks_in, blocks_out = ctx.Pipe(duplex=False)

@@ -17,23 +17,18 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
 # Grid used for the construction-time monotonicity check of the OCV curve.
 OCV_GRID_POINTS = 1000
-_OCV_GRID = np.arange(OCV_GRID_POINTS) / (OCV_GRID_POINTS - 1)
 
 
-def ocv_curve(coeffs: Sequence[float], exponent: float, soc):
+def ocv_curve(coeffs: Sequence[float], exponent: float, soc: float) -> float:
     """Raw open-circuit voltage curve a0 + a1*s + a2*s^2 + a3*s^3 + a4*e^(-b*s).
 
-    ``soc`` is a float or a numpy array.  Pure evaluation, no domain or
-    shape checks; CellParams enforces the monotone-rising shape at
-    construction.
+    Pure evaluation, no domain check; CellParams enforces the monotone-rising
+    shape at construction.
     """
     a0, a1, a2, a3, a4 = coeffs
-    exp = np.exp if isinstance(soc, np.ndarray) else math.exp
-    return a0 + soc * (a1 + soc * (a2 + soc * a3)) + a4 * exp(-exponent * soc)
+    return a0 + soc * (a1 + soc * (a2 + soc * a3)) + a4 * math.exp(-exponent * soc)
 
 
 @dataclass(frozen=True)
@@ -96,13 +91,15 @@ class CellParams:
         # The whole controller stack assumes a monotone SOC -> OCV map
         # (rankings, the gap trigger, the summary metrics), so a curve that
         # dips anywhere is rejected up front rather than failing silently.
-        # A NaN step fails `> 0` too.
-        falls = ~(np.diff(ocv_curve(self.ocv_coeffs, self.ocv_exponent, _OCV_GRID)) > 0.0)
-        if falls.any():
-            raise ValueError(
-                f"OCV curve must be strictly increasing on [0, 1]; "
-                f"violated near soc={_OCV_GRID[falls.argmax() + 1]:.4f}"
-            )
+        # A NaN step fails `>` too.
+        last = OCV_GRID_POINTS - 1
+        grid = [ocv_curve(self.ocv_coeffs, self.ocv_exponent, k / last) for k in range(last + 1)]
+        for k in range(1, last + 1):
+            if not grid[k] > grid[k - 1]:
+                raise ValueError(
+                    f"OCV curve must be strictly increasing on [0, 1]; "
+                    f"violated near soc={k / last:.4f}"
+                )
 
 
 @dataclass(frozen=True)

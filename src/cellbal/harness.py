@@ -13,10 +13,9 @@ deterministic for a fixed seed.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
-
-import numpy as np
 
 from . import rls
 from .controller import POLICIES, ControllerConfig, select_plan, std
@@ -325,7 +324,7 @@ class Simulation:
         )
         self.charger_state = ChargerState()
         self._charged = False  # the charger has drawn current at least once
-        self.noise_rng = np.random.Generator(np.random.PCG64(cfg.seed))
+        self.noise_rng = random.Random(cfg.seed)
         self.time = 0.0
         self.cycle = 0
         self.trace: list[TraceRecord] = []
@@ -333,6 +332,7 @@ class Simulation:
         self.events: list[tuple[float, str, str]] = []
         self._last_currents: Optional[list[float]] = None
         self._in_band_violation: set[int] = set()
+        self._clamped = [False] * len(self.params)
         self._done = False
 
     # -- helpers ---------------------------------------------------------
@@ -375,8 +375,7 @@ class Simulation:
             i_ext = 0.0
             v_true = rest
         if self.cfg.noise_std > 0.0:
-            noise = self.noise_rng.normal(0.0, self.cfg.noise_std, size=len(v_true))
-            v_meas = [v + float(e) for v, e in zip(v_true, noise)]
+            v_meas = [v + self.noise_rng.gauss(0.0, self.cfg.noise_std) for v in v_true]
         else:
             v_meas = list(v_true)
         return v_true, v_meas, i_ext
@@ -479,13 +478,14 @@ class Simulation:
         rec = self._snapshot(v_meas, currents, bits, i_ext)
         self._record(rec)
 
+        # a cell held at a reservoir limit is recorded once, when the clamp first takes it
+        clamped = []
         for j, (p, s) in enumerate(zip(self.params, self.states)):
-            new_state, saturated = step_exact(p, s, currents[j], dt)
-            self.states[j] = new_state
-            if saturated:
-                self.events.append(
-                    (self.time, "saturation", f"cell {j} hit a reservoir limit")
-                )
+            self.states[j], saturated = step_exact(p, s, currents[j], dt)
+            if saturated and not self._clamped[j]:
+                self.events.append((self.time, "saturation", f"cell {j} hit a reservoir limit"))
+            clamped.append(saturated)
+        self._clamped = clamped
         self.accumulators = advance_charges(self.accumulators, currents, dt, rec.soc,
                                             [s.soc for s in self.states], self.capacities)
         self._last_currents = currents

@@ -26,8 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .ecm import CellParams, ocv
 
 
@@ -48,23 +46,25 @@ def max_p0_scale(x_max: float, forgetting_factor: float) -> float:
 
 
 def init(theta0, p0_scale: float, forgetting_factor: float) -> RlsEstimator:
-    """Fresh estimator with covariance p0_scale * I for each row of theta0, shape (n, 3).
+    """Fresh estimator with covariance p0_scale * I for each of theta0's n rows of 3 numbers.
     p0_scale is bounded for regressor entries of size 1, the structural one."""
     if not 0.0 < forgetting_factor <= 1.0:
         raise ValueError(f"forgetting_factor must lie in (0, 1], got {forgetting_factor!r}")
     p0_max = max_p0_scale(1.0, forgetting_factor)
     if not 0.0 < p0_scale <= p0_max:
         raise ValueError(f"p0_scale must lie in (0, {p0_max:.4g}], got {p0_scale!r}")
-    theta = np.array(theta0, dtype=float)
-    if theta.ndim != 2 or theta.shape[1] != 3 or not np.isfinite(theta).all():
+    try:
+        theta = tuple((float(a), float(b), float(c)) for a, b, c in theta0)
+    except (TypeError, ValueError):
+        theta = ()
+    if not theta or not all(map(math.isfinite, (t for row in theta for t in row))):
         raise ValueError(f"theta0 must be finite with shape (n, 3), got {theta0!r}")
     p, n = float(p0_scale), len(theta)
     covariance = ((p, 0.0, 0.0, 0.0, p, 0.0, 0.0, 0.0, p),) * n
-    return RlsEstimator(tuple(map(tuple, theta.tolist())), covariance, forgetting_factor,
-                        3.0 * p, (0.0,) * n)
+    return RlsEstimator(theta, covariance, forgetting_factor, 3.0 * p, (0.0,) * n)
 
 
-def warm_start_theta(params: CellParams) -> np.ndarray:
+def warm_start_theta(params: CellParams) -> tuple[float, float, float]:
     """Heuristic initial weights from nominal cell parameters.
 
     Mean OCV slope over the full SOC range for the charge term, the ohmic
@@ -72,12 +72,12 @@ def warm_start_theta(params: CellParams) -> np.ndarray:
     current term, and the mid-range OCV for the offset.
     """
     slope = ocv(params, 1.0) - ocv(params, 0.0)
-    return np.array([-params.series_resistance, -slope, ocv(params, 0.5)])
+    return (-float(params.series_resistance), -slope, ocv(params, 0.5))
 
 
 def initial_estimators(cells, warm_start, p0_scale, forgetting_factor) -> RlsEstimator:
     """One stacked estimator, each cell warm from its nominal model or cold at zero."""
-    theta0 = [warm_start_theta(p) if warm_start else np.zeros(3) for p in cells]
+    theta0 = [warm_start_theta(p) if warm_start else (0.0, 0.0, 0.0) for p in cells]
     return init(theta0, p0_scale, forgetting_factor)
 
 

@@ -22,8 +22,8 @@ STOCK_SOCS = (0.60, 0.50, 0.45, 0.40)
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 
-def run_cli(*args, cwd, timeout=None) -> subprocess.CompletedProcess:
-    """Run ``python -m cellbal.cli *args`` in a child interpreter, raising
+def run_python(*args, cwd, timeout=None) -> subprocess.CompletedProcess:
+    """Run ``python *args`` in a child interpreter, raising
     ``subprocess.TimeoutExpired`` if it runs longer than ``timeout`` seconds.
 
     The child inherits the environment with the absolute ``src`` directory
@@ -33,13 +33,18 @@ def run_cli(*args, cwd, timeout=None) -> subprocess.CompletedProcess:
     paths = [str(SRC_DIR), *filter(None, env.get("PYTHONPATH", "").split(os.pathsep))]
     env["PYTHONPATH"] = os.pathsep.join(paths)
     return subprocess.run(
-        [sys.executable, "-m", "cellbal.cli", *args],
+        [sys.executable, *args],
         cwd=cwd,
         env=env,
         capture_output=True,
         text=True,
         timeout=timeout,
     )
+
+
+def run_cli(*args, cwd, timeout=None) -> subprocess.CompletedProcess:
+    """Run ``python -m cellbal.cli *args`` through :func:`run_python`."""
+    return run_python("-m", "cellbal.cli", *args, cwd=cwd, timeout=timeout)
 
 
 def make_stock_scenario(policy: str = "ampc", **overrides) -> ScenarioConfig:

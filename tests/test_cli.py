@@ -52,7 +52,7 @@ from cellbal.cli import (
     trace_header,
     write_trace,
 )
-from conftest import make_stock_scenario, run_cli as cli
+from conftest import make_stock_scenario, run_cli as cli, run_python
 
 REPO = Path(__file__).resolve().parent.parent
 STOCK_CONFIG = REPO / "configs" / "stock.json"
@@ -853,6 +853,33 @@ class TestExportPlotsCommand:
         assert r.returncode == 2
 
 
+# Runs every command in one interpreter where importing numpy raises ImportError, then
+# prints the exit codes and whether numpy or any of its submodules got loaded.
+_WITHOUT_NUMPY = """
+import json, sys
+sys.modules["numpy"] = None
+from cellbal.cli import main
+short = ["--set", "run.max_time=10"]
+codes = [main(args) for args in (
+    ["simulate", "--set", "run.noise_std=0.005", *short, "--out", "noisy"],
+    ["simulate", "--set", "controller.prediction_source=plant", *short, "--out", "plant"],
+    ["identify", "--trace", "noisy/trace.csv", "--out", "ident"],
+    ["export-plots", "--trace", "noisy/trace.csv", "--out", "plots"],
+    ["sweep", "--jobs", "2", *short, "--out", "sweep"],
+)]
+print(json.dumps([codes, [name for name in sys.modules if name.split(".")[0] == "numpy"
+                          and sys.modules[name] is not None]]))
+"""
+
+
+class TestWithoutNumpy:
+    def test_every_command_runs_with_numpy_blocked(self, tmp_path):
+        r = run_python("-c", _WITHOUT_NUMPY, cwd=tmp_path, timeout=300)
+        assert r.returncode == 0, r.stderr
+        codes, loaded = json.loads(r.stdout.splitlines()[-1])
+        assert codes == [0] * 5 and loaded == []
+
+
 PLOT_FILES = ("soc_vs_time.csv", "balancing_current_vs_time.csv", "extreme_voltages_vs_time.csv")
 
 
@@ -1007,6 +1034,14 @@ class TestGeneratedRuns:
         assert len(replayed) == n * len(trace)
         recorded = [theta for rec in trace for theta in rec.theta]
         assert replayed[:-n] == recorded[:-n]
+        # coulomb bookkeeping away from the clamps, in SOC units: each row's currents
+        # move a cell without self-discharge by exactly i dt / C by the next row
+        for prev, cur in zip(trace, trace[1:]):
+            dt = cur.time - prev.time
+            for j, (p, _) in enumerate(cells):
+                if p.self_discharge_resistance is None and 0.0 < cur.soc[j] < 1.0:
+                    moved = prev.current[j] * dt / p.capacity_coulombs
+                    assert abs((prev.soc[j] - cur.soc[j]) - moved) <= 1e-15
 
     @settings(derandomize=True, max_examples=20, deadline=None, database=None)
     @given(GENERATED_RUNS)

@@ -4,6 +4,8 @@ bookkeeping and summary arithmetic."""
 from __future__ import annotations
 
 import math
+import random
+import statistics
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -297,6 +299,23 @@ class TestRunScenario:
         assert a[0] == b[0]
         assert a[0] != c[0]
 
+    def test_noise_is_the_seeded_gaussian_stream(self):
+        # no balancing and an idle charger hold the plant still, so each recorded
+        # voltage minus its noise-free twin's is one draw, cell by cell, row by row
+        sigma, seed = 0.005, 0
+        run = dict(charger=ChargerConfig(mode="idle"), max_time=600.0, seed=seed)
+        noisy, _ = run_scenario(make_stock_scenario("none", noise_std=sigma, **run))
+        clean, _ = run_scenario(make_stock_scenario("none", **run))
+        assert len(noisy) == len(clean) > 600
+        assert all(rec.soc == clean[0].soc and rec.voltage == clean[0].voltage for rec in clean)
+        draws = [v - v0 for a, b in zip(noisy, clean) for v, v0 in zip(a.voltage, b.voltage)]
+        rng = random.Random(seed)
+        # 1e-15 V covers the rounding of (v + g) - v at about 3.7 V
+        assert draws == pytest.approx([rng.gauss(0.0, sigma) for _ in draws], rel=0, abs=1e-15)
+        mean = statistics.fmean(draws)
+        assert abs(mean) < 4.0 * sigma / math.sqrt(len(draws))
+        assert statistics.pstdev(draws) == pytest.approx(sigma, rel=0.1)
+
     def test_trace_coulomb_bookkeeping(self):
         # each row's currents integrate exactly into the next row's soc
         trace, _ = run_scenario(make_stock_scenario(max_time=40.0))
@@ -322,6 +341,18 @@ class TestRunScenario:
         kinds = {ev[1] for ev in sim.events}
         assert "saturation" in kinds
         assert all(s.soc <= 1.0 for s in sim.states)
+
+    def test_saturation_is_recorded_once_per_entry(self):
+        # four full 10 C cells charged for 20 000 s sit at the clamp from the first step
+        # to the last: one entry each, not one event per step
+        cells = [(representative_cell_params(capacity_coulombs=10.0, v_max=6.0), CellState(1.0))]
+        charger = ChargerConfig(cv_cell_voltage=5.9, cell_voltage_limit=6.0)
+        sim = Simulation(make_stock_scenario("none", cells=cells * 4, charger=charger,
+                                             max_time=20000.0))
+        assert all(rec.soc == (1.0,) * 4 and rec.current[0] < 0.0 for rec in sim.stream())
+        assert sim.cycle >= 20000
+        assert sim.events == [(0.0, "saturation", f"cell {j} hit a reservoir limit")
+                              for j in range(4)]
 
     def test_safety_band_event_cuts_external_current(self):
         cells = [(representative_cell_params(v_max=3.58), CellState(soc=0.6))]
