@@ -19,7 +19,7 @@ from operator import itemgetter
 from typing import Optional, Sequence
 
 from . import rls
-from .ecm import CellParams, CellState, step_exact, terminal_voltage
+from .ecm import CellParams, CellState, hold_factors, hold_step, ocv_curve
 from .flyback import CYCLE_OF, ConverterParams, SwitchPlan, distinct_cycles
 
 # The 9 distinct cycles' scores as the 16 schedules' scores, in schedule order.
@@ -111,14 +111,17 @@ def predict_stds_plant(
     """Predicted end-of-cycle voltage spread of every schedule, in schedule order, from
     the true cell models: each state stepped by the cell's average current, as
     :func:`predict_stds` forms it, and read at the external current alone, since all
-    converter currents are exactly zero at the end of a cycle."""
+    converter currents are exactly zero at the end of a cycle.  The cycles share one
+    length, so each cell's hold factors serve all 9."""
     deltas, duration = distinct_cycles(conv, voltages, ranking[:3])
-    spread = duration if duration > 0.0 else math.inf
     predicted = []
     for (params, state), cell in zip(plant, deltas):
-        ends = [step_exact(params, state, external_current - d / spread, duration)[0]
-                if duration > 0.0 else state for d in cell]
-        predicted.append([terminal_voltage(params, end, external_current) for end in ends])
+        soc, v1, v2 = state.soc, state.v1, state.v2
+        factors = hold_factors(params, duration) if duration > 0.0 else None
+        ends = [hold_step(params, factors, soc, v1, v2, external_current - d / duration,
+                          duration) if factors else (soc, v1, v2, False) for d in cell]
+        predicted.append([ocv_curve(params.ocv_coeffs, params.ocv_exponent, soc) - v1 - v2
+                          - params.series_resistance * external_current for soc, v1, v2, _ in ends])
     scores = [std(cycle) for cycle in zip(*predicted)]
     return _BY_SCHEDULE(scores)
 

@@ -70,7 +70,7 @@ class CellParams:
         for name, value in positives:
             if not (value > 0.0) or not math.isfinite(value):
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
-        # step_exact divides by each time constant, so none may underflow to 0
+        # hold_factors divides by each time constant, so none may underflow to 0
         taus = [
             ("rc1", self.rc1_resistance * self.rc1_capacitance),
             ("rc2", self.rc2_resistance * self.rc2_capacitance),
@@ -129,41 +129,50 @@ def terminal_voltage(params: CellParams, state: CellState, current: float) -> fl
     return ocv(params, state.soc) - state.v1 - state.v2 - params.series_resistance * current
 
 
-def step_exact(
-    params: CellParams, state: CellState, current: float, dt: float
-) -> tuple[CellState, bool]:
-    """Advance the state by ``dt`` seconds of constant current.
-
-    Uses the exact zero-order-hold discretization of each branch, so
-    composing two half steps equals one full step to rounding error.
-    Returns the new state and a flag telling whether the SOC had to be
-    clamped at either reservoir limit.
-    """
+def hold_factors(params: CellParams, dt: float) -> tuple:
+    """The factors of :func:`hold_step` for a ``dt``-second step of one cell."""
     if dt <= 0.0 or not math.isfinite(dt):
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
-    if not math.isfinite(current):
-        raise ValueError("current must be finite")
-
     # expm1 keeps the (1 - e^-x) factors fully accurate for small x; the
     # self-discharge time constant can reach 1e8 s, where plain 1-exp loses
     # six digits and breaks the semigroup property.
     x1 = dt / (params.rc1_resistance * params.rc1_capacitance)
     x2 = dt / (params.rc2_resistance * params.rc2_capacitance)
-    v1 = state.v1 * math.exp(-x1) - params.rc1_resistance * math.expm1(-x1) * current
-    v2 = state.v2 * math.exp(-x2) - params.rc2_resistance * math.expm1(-x2) * current
-
+    branches = (math.exp(-x1), params.rc1_resistance * math.expm1(-x1),
+                math.exp(-x2), params.rc2_resistance * math.expm1(-x2))
     if params.self_discharge_resistance is None:
-        soc = state.soc - current * dt / params.capacity_coulombs
+        return (*branches, None, None)
+    xs = dt / (params.self_discharge_resistance * params.capacity_coulombs)
+    return (*branches, math.exp(-xs), math.expm1(-xs))
+
+
+def hold_step(params: CellParams, factors: tuple, soc: float, v1: float, v2: float,
+              current: float, dt: float) -> tuple[float, float, float, bool]:
+    """(soc, v1, v2) after ``dt`` seconds of constant current by the exact zero-order hold
+    of ``factors = hold_factors(params, dt)``, and whether the SOC was clamped to [0, 1]."""
+    if not math.isfinite(current):
+        raise ValueError("current must be finite")
+    e1, g1, e2, g2, es, gs = factors
+    v1 = v1 * e1 - g1 * current
+    v2 = v2 * e2 - g2 * current
+    if es is None:
+        soc = soc - current * dt / params.capacity_coulombs
     else:
         # d(soc)/dt = -soc/tau - I/C with tau = R_sd * C; exact solution below.
-        r_sd = params.self_discharge_resistance
-        xs = dt / (r_sd * params.capacity_coulombs)
-        soc = state.soc * math.exp(-xs) + current * r_sd * math.expm1(-xs)
-
+        soc = soc * es + current * params.self_discharge_resistance * gs
     saturated = soc < 0.0 or soc > 1.0
     if saturated:
         soc = min(1.0, max(0.0, soc))
-    return CellState(soc=soc, v1=v1, v2=v2), saturated
+    return soc, v1, v2, saturated
+
+
+def step_exact(params: CellParams, state: CellState, current: float,
+               dt: float) -> tuple[CellState, bool]:
+    """:func:`hold_step` on a state: the state ``dt`` seconds of constant current
+    later, and whether its SOC had to be clamped."""
+    *end, saturated = hold_step(params, hold_factors(params, dt), state.soc, state.v1,
+                                state.v2, current, dt)
+    return CellState(*end), saturated
 
 
 def representative_cell_params(**overrides) -> CellParams:

@@ -19,7 +19,7 @@ from typing import Iterator, Optional, Sequence
 
 from . import rls
 from .controller import POLICIES, ControllerConfig, select_plan, std
-from .ecm import CellParams, CellState, step_exact, terminal_voltage
+from .ecm import CellParams, CellState, hold_factors, hold_step, ocv_curve, terminal_voltage
 from .flyback import ConverterParams, SwitchPlan, cycle_charge_deltas, nominal_cycle
 
 INACTIVE_BITS = "----"
@@ -315,7 +315,10 @@ class Simulation:
     def __init__(self, cfg: ScenarioConfig):
         self.cfg = cfg
         self.params = [p for p, _ in cfg.cells]
-        self.states = [s for _, s in cfg.cells]
+        self.soc, self.v1, self.v2 = map(list, zip(*((s.soc, s.v1, s.v2) for _, s in cfg.cells)))
+        # cells with equal parameters share one set of hold factors per step
+        self._kinds = list(dict.fromkeys(self.params))
+        self._kind = [self._kinds.index(p) for p in self.params]
         self.capacities = [p.capacity_coulombs for p in self.params]
         self._r_stack = sum(p.series_resistance for p in self.params)
         self.accumulators = [0.0] * len(self.params)
@@ -332,8 +335,14 @@ class Simulation:
         self.events: list[tuple[float, str, str]] = []
         self._last_currents: Optional[list[float]] = None
         self._in_band_violation: set[int] = set()
+        self._faulty: set[int] = set()
         self._clamped = [False] * len(self.params)
         self._done = False
+
+    @property
+    def states(self) -> tuple[CellState, ...]:
+        """Each cell's state, built from the flat :attr:`soc`, :attr:`v1` and :attr:`v2`."""
+        return tuple(map(CellState, self.soc, self.v1, self.v2))
 
     # -- helpers ---------------------------------------------------------
 
@@ -358,7 +367,8 @@ class Simulation:
         A cell outside its safety band forces the external current to zero
         for this step and is recorded as an event on entry.
         """
-        rest = [terminal_voltage(p, s, 0.0) for p, s in zip(self.params, self.states)]
+        rest = [ocv_curve(p.ocv_coeffs, p.ocv_exponent, s) - a - b
+                for p, s, a, b in zip(self.params, self.soc, self.v1, self.v2)]
         i_ext = self._charger_current(rest)
         v_true = [v - p.series_resistance * i_ext for v, p in zip(rest, self.params)]
         violated = [
@@ -382,13 +392,13 @@ class Simulation:
 
     def _decide(self, v_meas: Sequence[float], i_ext: float) -> Optional[SwitchPlan]:
         cfg = self.cfg
-        # a sensor fault, not a cell state: nothing is scored or run on it
-        # (a policy that never balances has nothing to refuse)
+        # a sensor fault, not a cell state: nothing is scored or run on it, and it is
+        # recorded on entry (a policy that never balances has nothing to refuse)
         faulty = [] if cfg.policy == "none" else [j for j, v in enumerate(v_meas) if not v > 0.0]
+        self.events += [(self.time, "measurement_fault", f"cell {j} read {v_meas[j]:.4f} V")
+                        for j in faulty if j not in self._faulty]
+        self._faulty = set(faulty)
         if faulty:
-            self.events += [
-                (self.time, "measurement_fault", f"cell {j} read {v_meas[j]:.4f} V") for j in faulty
-            ]
             return None
         return select_plan(
             v_meas,
@@ -398,20 +408,16 @@ class Simulation:
             cfg.converter,
             cfg.controller,
             capacities=self.capacities,
-            plant=list(zip(self.params, self.states)),
+            plant=(list(zip(self.params, self.states))
+                   if cfg.controller.prediction_source == "plant" else None),
             policy=cfg.policy,
         ).plan
-
-    def _record(self, rec: TraceRecord) -> None:
-        self.totals.add(rec)
-        if rec.cycle % self.cfg.record_every == 0:
-            self.trace.append(rec)
 
     def _snapshot(self, v_meas, currents, bits, i_ext) -> TraceRecord:
         return TraceRecord(
             time=self.time,
             cycle=self.cycle,
-            soc=tuple(s.soc for s in self.states),
+            soc=tuple(self.soc),
             voltage=tuple(v_meas),
             current=tuple(currents),
             theta=self.estimator.theta,
@@ -476,18 +482,20 @@ class Simulation:
             bits = INACTIVE_BITS
 
         rec = self._snapshot(v_meas, currents, bits, i_ext)
-        self._record(rec)
+        self.totals.add(rec)
+        if rec.cycle % cfg.record_every == 0:
+            self.trace.append(rec)
 
+        shared = [hold_factors(p, dt) for p in self._kinds]
+        stepped = [hold_step(p, shared[k], s, a, b, i, dt) for p, k, s, a, b, i in zip(
+            self.params, self._kind, self.soc, self.v1, self.v2, currents)]
+        self.soc, self.v1, self.v2, clamped = map(list, zip(*stepped))
         # a cell held at a reservoir limit is recorded once, when the clamp first takes it
-        clamped = []
-        for j, (p, s) in enumerate(zip(self.params, self.states)):
-            self.states[j], saturated = step_exact(p, s, currents[j], dt)
-            if saturated and not self._clamped[j]:
-                self.events.append((self.time, "saturation", f"cell {j} hit a reservoir limit"))
-            clamped.append(saturated)
+        self.events += [(self.time, "saturation", f"cell {j} hit a reservoir limit")
+                        for j, hit in enumerate(clamped) if hit and not self._clamped[j]]
         self._clamped = clamped
         self.accumulators = advance_charges(self.accumulators, currents, dt, rec.soc,
-                                            [s.soc for s in self.states], self.capacities)
+                                            self.soc, self.capacities)
         self._last_currents = currents
         self.time = end
         self.cycle += 1

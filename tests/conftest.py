@@ -71,6 +71,24 @@ CONVERTERS = st.builds(
 
 
 @st.composite
+def leaky_cells(draw, n):
+    """n true cells, each with or without self-discharge and some small enough that one
+    converter cycle or a second of charge moves them past a reservoir limit, at SOCs
+    that include both limits and with charged RC branches."""
+    def cell():
+        params = representative_cell_params(
+            capacity_coulombs=draw(st.just(2.0) | st.floats(2.0, 3000.0)),
+            self_discharge_resistance=draw(st.none() | st.floats(10.0, 1e6)),
+            v_max=6.0,
+        )
+        soc = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+        v1, v2 = draw(st.floats(-0.05, 0.05)), draw(st.floats(-0.05, 0.05))
+        return params, CellState(soc=soc, v1=v1, v2=v2)
+
+    return [cell() for _ in range(n)]
+
+
+@st.composite
 def scoring_states(draw):
     """A scorer's inputs on a stack of 4 to 8 cells: a converter, measured voltages, a
     stacked estimator scattered around the warm start, charge accumulators, capacities,

@@ -14,8 +14,10 @@ from cellbal.ecm import step_exact, terminal_voltage
 from cellbal.flyback import (
     _OFF_AT,
     _WINDOWS,
+    CYCLE_OF,
     SCHEDULES,
     _cycle_constants,
+    distinct_cycles,
     _winding,
     simulate_cycle,
 )
@@ -356,6 +358,21 @@ def numpy_predict_stds_plant(ranking, plant, external_current, conv, voltages) -
             end = step_exact(params, state, current, dt)[0] if dt > 0.0 else state
             predicted[k, j] = terminal_voltage(params, end, external_current)
     return row_stds(predicted)
+
+
+def step_exact_predict_stds_plant(ranking, plant, external_current, conv, voltages):
+    """The 16 predicted spreads from the true models over the 9 distinct cycles, one
+    ``step_exact`` call per cell and cycle, each computing its own hold factors: the
+    production scorer shares them per cell and must give these bits."""
+    deltas, duration = distinct_cycles(conv, voltages, ranking[:3])
+    spread = duration if duration > 0.0 else np.inf
+    predicted = []
+    for (params, state), cell in zip(plant, deltas):
+        ends = [step_exact(params, state, external_current - d / spread, duration)[0]
+                if duration > 0.0 else state for d in cell]
+        predicted.append([terminal_voltage(params, end, external_current) for end in ends])
+    scores = [std(cycle) for cycle in zip(*predicted)]
+    return tuple(scores[c] for c in CYCLE_OF)
 
 
 def numpy_pick(stds: np.ndarray) -> int:

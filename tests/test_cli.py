@@ -629,7 +629,7 @@ class TestStreamedSimulate:
 
     def test_failed_run_leaves_no_file(self, tmp_path, monkeypatch):
         calls = 0
-        real = harness.step_exact
+        real = harness.hold_step
 
         def failing(*args):
             nonlocal calls
@@ -638,7 +638,7 @@ class TestStreamedSimulate:
                 raise RuntimeError("injected plant fault")
             return real(*args)
 
-        monkeypatch.setattr(harness, "step_exact", failing)
+        monkeypatch.setattr(harness, "hold_step", failing)
         out = tmp_path / "run"
         code = main(["simulate", "--set", "charger.mode=idle", "--set", "run.max_time=60",
                      "--out", str(out)])
@@ -1274,7 +1274,7 @@ class TestWriterProcess:
         # past 1500 steps or records, several blocks have gone to the writer
         produced = 0
         if command == "simulate":
-            real_step = harness.step_exact
+            real_step = harness.hold_step
 
             def failing_step(*args):
                 nonlocal produced
@@ -1283,7 +1283,7 @@ class TestWriterProcess:
                     raise RuntimeError("injected plant fault")
                 return real_step(*args)
 
-            monkeypatch.setattr(harness, "step_exact", failing_step)
+            monkeypatch.setattr(harness, "hold_step", failing_step)
         else:
             real_iter = iter_trace
 

@@ -7,7 +7,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
 import cellbal.controller as controller
@@ -27,7 +27,7 @@ from cellbal import (
     std,
 )
 from cellbal.flyback import SCHEDULES, SwitchPlan
-from conftest import make_stock_scenario, scoring_states
+from conftest import leaky_cells, make_stock_scenario, scoring_states
 from oracles import (
     first_min,
     numpy_pick,
@@ -36,6 +36,7 @@ from oracles import (
     reference_pick,
     reference_stds,
     row_stds,
+    step_exact_predict_stds_plant,
 )
 
 CONV = ConverterParams(magnetizing_inductance=0.01)
@@ -453,3 +454,14 @@ class TestDistinctScoring:
         args = (state["plant"], state["i_ext"], state["conv"], state["voltages"])
         ranking = rank_cells(state["voltages"])
         self.check(predict_stds_plant(ranking, *args), numpy_predict_stds_plant(ranking, *args))
+
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @given(scoring_states(), st.data())
+    def test_true_models_are_the_per_cycle_step_exact_bit_for_bit(self, state, data):
+        # self-discharging cells, and cells that a cycle drives into a reservoir limit
+        plant = data.draw(leaky_cells(len(state["voltages"])))
+        args = (plant, state["i_ext"], state["conv"], state["voltages"])
+        ranking = rank_cells(state["voltages"])
+        got = predict_stds_plant(ranking, *args)
+        assert [v.hex() for v in got] == [
+            v.hex() for v in step_exact_predict_stds_plant(ranking, *args)]

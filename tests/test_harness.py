@@ -28,11 +28,13 @@ from cellbal import (
     run_scenario,
     select_plan,
     std,
+    step_exact,
     summarize,
 )
 from cellbal.cli import read_trace, write_trace
+from cellbal.controller import POLICIES
 from cellbal.harness import INACTIVE_BITS
-from conftest import make_stock_scenario
+from conftest import leaky_cells, make_stock_scenario
 
 R_TOT = 4 * 0.07  # ohms, stock four-cell stack
 
@@ -410,6 +412,19 @@ class TestRunScenario:
         assert min(rec.voltage) <= 0.0
         sim.run()
 
+    def test_measurement_fault_is_recorded_once_per_entry(self):
+        # readings stay non-positive for runs of steps: one event when each run begins
+        sim = Simulation(make_stock_scenario(noise_std=4.0, seed=3, max_time=600.0))
+        trace = list(sim.stream())
+        entries, held, faulty_readings = [], set(), 0
+        for rec in trace[:-1]:  # the final row is measured, never decided on
+            now = {j for j, v in enumerate(rec.voltage) if not v > 0.0}
+            entries += [(rec.time, j) for j in sorted(now - held)]
+            held, faulty_readings = now, faulty_readings + len(now)
+        assert faulty_readings > len(entries) > 0
+        faults = [ev for ev in sim.events if ev[1] == "measurement_fault"]
+        assert [(t, int(detail.split()[1])) for t, _, detail in faults] == entries
+
     def test_active_step_applies_the_charge_table_row(self):
         # noiseless, so the recorded voltages are the true ones the cycle ran at
         sim = Simulation(make_stock_scenario(max_time=20.0))
@@ -512,3 +527,30 @@ class TestSummarize:
         ]
         # drawn = current - charger = (0.9, 0.3, 0.0, 0.0); only positives count
         assert summarize(rows).converter_coulombs == pytest.approx(1.2, rel=1e-15)
+
+
+def _bits(state: CellState) -> tuple[str, str, str]:
+    return state.soc.hex(), state.v1.hex(), state.v2.hex()
+
+
+class TestPlantStep:
+    """The harness holds the plant in flat floats; every step advances each cell by
+    exactly the bits ``step_exact`` gives from the state before it, with the record's
+    current over the time the clock moved."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None, database=None)
+    @given(st.integers(4, 6).flatmap(leaky_cells), st.sampled_from(POLICIES),
+           st.sampled_from(["rls", "plant"]), st.sampled_from(["cc_cv", "idle"]))
+    def test_every_step_is_the_exact_hold_of_its_record(self, cells, policy, source, mode):
+        charger = ChargerConfig(mode=mode, cc_current=-1.0, cv_cell_voltage=5.9,
+                                cell_voltage_limit=6.0)
+        sim = Simulation(make_stock_scenario(
+            policy, cells=cells, charger=charger, initial_covariance=100.0, max_time=3.0,
+            controller=ControllerConfig(prediction_source=source)))
+        before = tuple(sim.states)
+        while (rec := sim.step()) is not None:
+            after, dt = tuple(sim.states), sim.time - rec.time
+            assert rec.soc == tuple(s.soc for s in before)
+            for p, s, i, got in zip(sim.params, before, rec.current, after):
+                assert _bits(got) == _bits(step_exact(p, s, i, dt)[0])
+            before = after
