@@ -7,8 +7,9 @@ picks the schedule whose predicted voltages have the smallest population
 standard deviation.  The 16 schedules run only 9 distinct cycles
 (``flyback.DISTINCT``), so each scorer predicts those 9 in plain floats and
 gives every schedule its cycle's score.  Predictions come either from the
-per-cell identified linear models, through ``rls.predict``, or, for
-verification against ground truth, from the true cell models themselves.
+per-cell identified linear models, each folded by ``rls.fold`` into an affine
+function of the cell's cycle current, or, for verification against ground
+truth, from the true cell models themselves.
 """
 
 from __future__ import annotations
@@ -89,15 +90,23 @@ def predict_stds(
     voltages: Sequence[float],
 ) -> tuple[float, ...]:
     """Predicted end-of-cycle voltage spread of every schedule, in schedule order, from
-    the stacked estimator's identified models.  Each cell's regressor takes its average
-    current, the external (charger) one plus its charge delta spread over the cycle (none
-    for a zero-length cycle), and its charge accumulator advanced by it over the cycle."""
-    deltas, duration = distinct_cycles(conv, voltages, ranking[:3])
+    the stacked estimator's identified models, each folded over the cycle from its charge
+    accumulator and about the measured mean.  A cell's current is the external (charger)
+    one plus its charge delta spread over the cycle (none for a zero-length cycle), so the
+    unswitched cells of a cycle share one current."""
+    cells = ranking[:3]
+    secondary, drains, duration = distinct_cycles(conv, voltages, cells)
     spread = duration if duration > 0.0 else math.inf
-    currents = [[external_current - d / spread for d in cell] for cell in deltas]
-    charges = [[q + i * duration for i in cell] for cell, q in zip(currents, charge_accumulators)]
-    predicted = rls.predict(estimator, currents, charges, capacities)
-    scores = [std(cycle) for cycle in zip(*predicted)]
+    models = rls.fold(estimator, duration, charge_accumulators, capacities,
+                      sum(voltages) / len(voltages))
+    switched = [(j, *models[j], cell_drains) for j, cell_drains in zip(cells, drains)]
+    scores = []
+    for k, s in enumerate(secondary):
+        i = external_current - s / spread
+        predicted = [a * i + b for a, b in models]
+        for j, a, b, cell_drains in switched:
+            predicted[j] = a * (external_current - (s - cell_drains[k]) / spread) + b
+        scores.append(std(predicted))
     return _BY_SCHEDULE(scores)
 
 
@@ -113,7 +122,10 @@ def predict_stds_plant(
     :func:`predict_stds` forms it, and read at the external current alone, since all
     converter currents are exactly zero at the end of a cycle.  The cycles share one
     length, so each cell's hold factors serve all 9."""
-    deltas, duration = distinct_cycles(conv, voltages, ranking[:3])
+    secondary, drains, duration = distinct_cycles(conv, voltages, ranking[:3])
+    deltas = [secondary] * len(plant)
+    for j, cell_drains in zip(ranking[:3], drains):
+        deltas[j] = [s - d for s, d in zip(secondary, cell_drains)]
     predicted = []
     for (params, state), cell in zip(plant, deltas):
         soc, v1, v2 = state.soc, state.v1, state.v2

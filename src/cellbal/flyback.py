@@ -362,12 +362,13 @@ def _winding(v_cell, window, off_at, half, l_m, fw_slope):
 
 def distinct_cycles(
     conv: ConverterParams, cell_voltages: Sequence[float], cells: Sequence[int]
-) -> tuple[list[list[float]], float]:
-    """Each cell's charge delta in each cycle of :data:`DISTINCT`, and their common length,
-    in plain floats.  ``cells`` are the target, second and third cell ranked by descending
-    voltage, so the target, on through both windows, ends every cycle.  The target winds
-    once and the others at 0, 1 and 2 half on-times, each through :func:`_winding`."""
-    n, l_m = len(cell_voltages), conv.magnetizing_inductance
+) -> tuple[list[float], tuple[list[float], ...], float]:
+    """The cycles of :data:`DISTINCT` in plain floats: each cycle's secondary charge, which
+    every cell receives, the target's, second's and third's drains, to subtract from it, in
+    each cycle, and the common length.  ``cells`` are ranked by descending voltage, so the
+    target, on through both windows, ends every cycle.  The target winds once and the
+    others at 0, 1 and 2 half on-times, each through :func:`_winding`."""
+    l_m = conv.magnetizing_inductance
     half, ratio, fw_slope = _cycle_constants(conv, cell_voltages, cells)
     fw0, drain0, length = _winding(cell_voltages[cells[0]], 2, 2, half, l_m, fw_slope)
     v_second, v_third = cell_voltages[cells[1]], cell_voltages[cells[2]]
@@ -375,11 +376,8 @@ def distinct_cycles(
     third = [_winding(v_third, w, 2, half, l_m, fw_slope) for w in (0, 1, 2)]
     helpers = [(second[w1], third[w2]) for w1, w2 in _HELPER_WINDOWS]
     secondary = [ratio * (fw0 + fw1 + fw2) for (fw1, _, _), (fw2, _, _) in helpers]
-    deltas = [secondary] * n
-    deltas[cells[0]] = [s - drain0 for s in secondary]
-    deltas[cells[1]] = [s - h[0][1] for s, h in zip(secondary, helpers)]
-    deltas[cells[2]] = [s - h[1][1] for s, h in zip(secondary, helpers)]
-    return deltas, length
+    drains = ([drain0] * len(helpers), [h[0][1] for h in helpers], [h[1][1] for h in helpers])
+    return secondary, drains, length
 
 
 def cycle_charge_deltas(

@@ -14,10 +14,10 @@ its initial value: without excitation the 1/lambda inflation would otherwise
 grow P without bound (covariance windup).  The covariance is re-symmetrized
 after every update to stop round-off drift.
 
-An estimator is a stack of cells (a lone one is a 1-cell stack), and
-``update`` and ``predict`` step each cell in plain floats: for a few cells
-numpy's per-call overhead on 3-vectors costs more than the arithmetic.  Their
-dots round each product and sum in turn where numpy's 3-term dot is a fused
+An estimator is a stack of cells (a lone one is a 1-cell stack), and ``update``,
+``predict`` and ``fold`` step each cell in plain floats: for a few cells numpy's
+per-call overhead on 3-vectors costs more than the arithmetic.  Their dots
+round each product and sum in turn where numpy's 3-term dot is a fused
 multiply-add chain, so results differ in the last bits from numpy's.
 """
 
@@ -129,3 +129,12 @@ def predict(est: RlsEstimator, currents, charges, capacities) -> list[list[float
     cells = zip(est.theta, currents, charges, capacities, strict=True)
     return [[i * t0 + q / c * t1 + t2 for i, q in zip(ii, qq, strict=True)]
             for (t0, t1, t2), ii, qq, c in cells]
+
+
+def fold(est: RlsEstimator, duration, charges, capacities, offset) -> list[tuple[float, float]]:
+    """Each cell's model over a cycle of length T = ``duration`` from its charge q, less
+    ``offset``, as the pair (a, b) of an affine function of the cycle's current i:
+    theta_j . (i, (q + i*T)/C, 1.0) - offset = a*i + b, with a = theta1 + T*theta2/C and
+    b = q*theta2/C + theta3 - offset.  Equal to :func:`predict` up to rounding."""
+    cells = zip(est.theta, charges, capacities, strict=True)
+    return [(t0 + duration * t1 / c, q * t1 / c + t2 - offset) for (t0, t1, t2), q, c in cells]

@@ -89,11 +89,12 @@ def leaky_cells(draw, n):
 
 
 @st.composite
-def scoring_states(draw):
-    """A scorer's inputs on a stack of 4 to 8 cells: a converter, measured voltages, a
-    stacked estimator scattered around the warm start, charge accumulators, capacities,
-    the charger current and a plant of representative cells at their own SOCs."""
-    n = draw(st.integers(4, 8))
+def scoring_states(draw, sizes=st.integers(4, 8)):
+    """A scorer's inputs on a stack of 4 to 8 cells, or of a size drawn from ``sizes``: a
+    converter, measured voltages, a stacked estimator scattered around the warm start,
+    charge accumulators, capacities, the charger current and a plant of representative
+    cells at their own SOCs."""
+    n = draw(sizes)
 
     def cells(values):
         return draw(st.lists(values, min_size=n, max_size=n))

@@ -360,11 +360,21 @@ def numpy_predict_stds_plant(ranking, plant, external_current, conv, voltages) -
     return row_stds(predicted)
 
 
+def distinct_deltas(conv, voltages, cells):
+    """``distinct_cycles`` expanded to each cell's charge delta in each of the 9 cycles, with
+    the same subtraction, and the cycles' common length."""
+    secondary, drains, length = distinct_cycles(conv, voltages, cells)
+    deltas = [secondary] * len(voltages)
+    for j, cell_drains in zip(cells, drains):
+        deltas[j] = [s - d for s, d in zip(secondary, cell_drains)]
+    return deltas, length
+
+
 def step_exact_predict_stds_plant(ranking, plant, external_current, conv, voltages):
     """The 16 predicted spreads from the true models over the 9 distinct cycles, one
     ``step_exact`` call per cell and cycle, each computing its own hold factors: the
     production scorer shares them per cell and must give these bits."""
-    deltas, duration = distinct_cycles(conv, voltages, ranking[:3])
+    deltas, duration = distinct_deltas(conv, voltages, ranking[:3])
     spread = duration if duration > 0.0 else np.inf
     predicted = []
     for (params, state), cell in zip(plant, deltas):

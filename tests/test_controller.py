@@ -440,13 +440,21 @@ class TestDistinctScoring:
             assert len({got[k] for k in group}) == 1, group
         assert reference_pick(got) == numpy_pick(ref)
 
-    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
-    @given(scoring_states())
-    def test_identified_models(self, state):
+    def check_identified(self, state):
         args = (state["estimator"], state["accumulators"], state["capacities"], state["i_ext"],
                 state["conv"], state["voltages"])
         ranking = rank_cells(state["voltages"])
         self.check(predict_stds(ranking, *args), numpy_predict_stds(ranking, *args))
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(scoring_states())
+    def test_identified_models(self, state):
+        self.check_identified(state)
+
+    @settings(derandomize=True, max_examples=60, deadline=None, database=None)
+    @given(scoring_states(st.sampled_from([16, 96]) | st.integers(16, 96)))
+    def test_identified_models_at_stack_scale(self, state):
+        self.check_identified(state)
 
     @settings(derandomize=True, max_examples=100, deadline=None, database=None)
     @given(scoring_states())

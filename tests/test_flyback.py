@@ -16,11 +16,10 @@ from cellbal.flyback import (
     SCHEDULES,
     CycleTiming,
     PiecewiseLinear,
-    distinct_cycles,
     simulate_cycle,
 )
 from conftest import CONVERTERS
-from oracles import charge_table, fine_cycle_deltas, integrate_pwl_between
+from oracles import charge_table, distinct_deltas, fine_cycle_deltas, integrate_pwl_between
 
 SMALL = ConverterParams(magnetizing_inductance=1e-4, peak_current=2.0)
 
@@ -352,7 +351,7 @@ class TestCycleInvariants:
 class TestDistinctCycles:
     """The 16 schedules run 9 distinct cycles: on cells ranked by voltage, the
     table rows of each window-swapped group are bit-identical, and
-    ``distinct_cycles`` is the table's ``DISTINCT`` rows, bit for bit."""
+    ``distinct_cycles``, expanded per cell, is the table's ``DISTINCT`` rows, bit for bit."""
 
     GROUPS = ((1, 4), (2, 8), (3, 6, 9, 12), (7, 13), (11, 14))
 
@@ -371,7 +370,7 @@ class TestDistinctCycles:
         table, t3 = charge_table(conv, voltages, cells)
         for group in self.GROUPS:
             assert len({table[k].tobytes() for k in group}) == 1, group
-        deltas, length = distinct_cycles(conv, voltages, cells)
+        deltas, length = distinct_deltas(conv, voltages, cells)
         assert [[d.hex() for d in cell] for cell in deltas] == [
             [float(table[k, j]).hex() for k in DISTINCT] for j in range(len(voltages))
         ]

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cellbal import ocv, representative_cell_params, rls, warm_start_theta
+from cellbal import ConverterParams, ocv, representative_cell_params, rls, warm_start_theta
+from cellbal.flyback import distinct_cycles
+from conftest import CONVERTERS
 from oracles import build_regressor, numpy_predict, numpy_rls_update
 
 THETA_STAR = np.array([0.1, -0.5, 3.7])
@@ -278,6 +280,30 @@ class TestPredict:
                                     capacities)
             est = rls.update(est, rls.regressor_rows(currents, charges, capacities), y)
             assert est.innovation == tuple(v - p for v, (p,) in zip(y, predicted))
+
+
+class TestFold:
+    @settings(derandomize=True, max_examples=100, deadline=None, database=None)
+    @given(st.integers(1, 8), st.integers(1, 16), st.integers(0, 2**32 - 1), CONVERTERS)
+    @example(4, 9, 0, ConverterParams(peak_current=0.0))
+    def test_is_the_prediction_less_the_offset(self, n, rows, seed, conv):
+        # cell-sized models, currents and charges as TestPredict draws them, over the
+        # length of a real cycle: an idle converter's (zero peak) lasts 0 s
+        rng = np.random.default_rng(seed)
+        warm = warm_start_theta(representative_cell_params())
+        est = rls.init(warm + rng.uniform(-1.0, 1.0, size=(n, 3)), 1.0, 1.0)
+        currents, capacities = rng.uniform(-10.0, 10.0, (n, rows)), rng.uniform(2e3, 4e3, n)
+        charges = rng.uniform(-2.0, 2.0, n) * capacities
+        voltages = sorted(rng.uniform(2.8, 4.4, 4).tolist(), reverse=True)
+        duration = distinct_cycles(conv, voltages, (0, 1, 2))[2]
+        offset = float(rng.uniform(2.8, 4.4))
+        folded = rls.fold(est, duration, charges.tolist(), capacities.tolist(), offset)
+        advanced = charges[:, None] + currents * duration
+        want = rls.predict(est, currents.tolist(), advanced.tolist(), capacities.tolist())
+        got = [[a * i + b + offset for i in ii] for (a, b), ii in zip(folded, currents.tolist())]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        if duration == 0.0:
+            assert [a for a, _ in folded] == [t[0] for t in est.theta]
 
 
 class TestConvergence:
