@@ -127,7 +127,7 @@ def load_config(path: str | Path | None) -> dict:
         raise ConfigError(f"config file not found: {p}")
     try:
         data = json.loads(strip_json_comments(p.read_text()))
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # a JSONDecodeError, or an integer over Python's digit limit
         raise ConfigError(f"config {p} is not valid JSON: {e}") from None
     if not isinstance(data, dict):
         raise ConfigError(f"config {p} must contain a JSON object at top level")
@@ -148,7 +148,7 @@ def apply_overrides(raw: dict, assignments: Sequence[str]) -> dict:
             raise ConfigError(f"--set needs key=value, got {item!r}")
         try:
             value = json.loads(value_text)
-        except json.JSONDecodeError:
+        except ValueError:  # not JSON, or an integer over Python's digit limit
             value = value_text
         parts = key.split(".")
         if len(parts) == 1:
@@ -184,6 +184,8 @@ def _coerce(hint: Any, value: Any, where: str) -> Any:
     if hint is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{where} must be a number, got {value!r}")
+        if isinstance(value, int) and abs(value) > sys.float_info.max:
+            raise ConfigError(f"{where} is an integer outside the float range")
         return float(value)
     if hint is int:
         if isinstance(value, bool) or not isinstance(value, int):
@@ -463,28 +465,26 @@ def _load_effective(args: argparse.Namespace) -> dict:
     return effective_config(raw)
 
 
+def _run(scenario: ScenarioConfig, out: Path) -> tuple[int, Summary]:
+    """Run a scenario, streaming ``out/trace.csv``, then write ``out/summary.json``;
+    returns the row count and the Summary, all a sweep worker sends back."""
+    out.mkdir(exist_ok=True)
+    sim = Simulation(scenario)
+    rows = write_trace(out / "trace.csv", sim.stream(), len(scenario.cells))
+    summary = sim.totals.summary()
+    _write_json(out / "summary.json", dataclasses.asdict(summary))
+    return rows, summary
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     eff = _load_effective(args)
     scenario = build_scenario(eff)
     out = _resolve_out(args.out, "simulate")
-    sim = Simulation(scenario)
-    rows = write_trace(out / "trace.csv", sim.stream(), len(scenario.cells))
-    _write_json(out / "summary.json", dataclasses.asdict(sim.totals.summary()))
+    rows, _ = _run(scenario, out)
     if args.dump_config:
         _write_json(out / "effective_config.json", eff)
     print(f"wrote {out / 'trace.csv'} ({rows} rows) and {out / 'summary.json'}")
     return 0
-
-
-def _run_policy(scenario: ScenarioConfig, out: Path) -> Summary:
-    """Run one sweep policy, streaming ``out/trace.csv``, then write
-    ``out/summary.json``; only the Summary goes back to a sweep's parent."""
-    out.mkdir(exist_ok=True)
-    sim = Simulation(scenario)
-    write_trace(out / "trace.csv", sim.stream(), len(scenario.cells))
-    summary = sim.totals.summary()
-    _write_json(out / "summary.json", dataclasses.asdict(summary))
-    return summary
 
 
 _COMPARISON_COLUMNS = ["policy"] + [f.name for f in dataclasses.fields(Summary)]
@@ -503,13 +503,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     jobs = max(1, args.jobs)
     if jobs == 1 or len(policies) == 1:
-        summaries = {p: _run_policy(s, out / p) for p, s in scenarios.items()}
+        summaries = {p: _run(s, out / p)[1] for p, s in scenarios.items()}
     else:
         with concurrent.futures.ProcessPoolExecutor(
             max_workers=min(jobs, len(policies))
         ) as pool:
-            futures = {p: pool.submit(_run_policy, s, out / p) for p, s in scenarios.items()}
-            summaries = {p: fut.result() for p, fut in futures.items()}
+            futures = {p: pool.submit(_run, s, out / p) for p, s in scenarios.items()}
+            summaries = {p: fut.result()[1] for p, fut in futures.items()}
 
     _write_csv([(out / "comparison.csv", _COMPARISON_COLUMNS, None)], (
         (0, (p, *("" if v is None else float(v) for v in dataclasses.astuple(summaries[p]))))

@@ -30,6 +30,7 @@ never close only ever receive that secondary charge.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import product
@@ -69,8 +70,9 @@ class ConverterParams:
     def __post_init__(self) -> None:
         if not (self.magnetizing_inductance > 0.0 and math.isfinite(self.magnetizing_inductance)):
             raise ValueError("magnetizing_inductance must be positive and finite")
-        if self.turns_primary < 1 or self.turns_secondary < 1:
-            raise ValueError("turns counts must be >= 1")
+        for name in ("turns_primary", "turns_secondary"):
+            if not 1 <= getattr(self, name) <= sys.float_info.max:  # the ratios are floats
+                raise ValueError(f"{name} must be >= 1 and within the float range")
         if self.peak_current < 0.0 or not math.isfinite(self.peak_current):
             raise ValueError("peak_current must be >= 0 and finite")
 

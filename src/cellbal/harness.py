@@ -12,6 +12,7 @@ deterministic for a fixed seed.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -26,7 +27,7 @@ INACTIVE_BITS = "----"
 _TRACE_BITS = {INACTIVE_BITS, *(format(k, "04b") for k in range(16))}
 # A run needing more steps than this, at its nominal cycle or at idle_dt, has no practical end.
 MAX_NOMINAL_STEPS = 1e7
-# Rows Simulation.stream holds before handing them over.  Whole blocks keep the row
+# Steps Simulation.stream runs before handing their rows over.  Whole blocks keep the row
 # formatting from interleaving with the scorer (one row at a time costs ~5 % CPU); 512
 # rows hold under 1 MB and ran as fast as 4096 on the stock runs.
 _TRACE_BLOCK = 512
@@ -310,7 +311,8 @@ def summarize(
 
 
 class Simulation:
-    """Stepwise closed-loop run; drive with :meth:`step` or :meth:`run`."""
+    """Stepwise closed-loop run.  :meth:`stream` runs it and hands over the rows it
+    records; :meth:`step` advances it one step and records nothing."""
 
     def __init__(self, cfg: ScenarioConfig):
         self.cfg = cfg
@@ -330,14 +332,13 @@ class Simulation:
         self.noise_rng = random.Random(cfg.seed)
         self.time = 0.0
         self.cycle = 0
-        self.trace: list[TraceRecord] = []
         self.totals = _Totals(cfg.controller.gap_threshold)  # sees every step
+        self.final: Optional[TraceRecord] = None  # the state the run ended in
         self.events: list[tuple[float, str, str]] = []
         self._last_currents: Optional[list[float]] = None
         self._in_band_violation: set[int] = set()
         self._faulty: set[int] = set()
         self._clamped = [False] * len(self.params)
-        self._done = False
 
     @property
     def states(self) -> tuple[CellState, ...]:
@@ -428,25 +429,19 @@ class Simulation:
 
     def _finish(self) -> None:
         _v_true, v_meas, i_ext = self._measure()
-        rec = self._snapshot(v_meas, [i_ext] * len(self.params), INACTIVE_BITS, i_ext)
-        self.totals.add(rec)
-        if self.cycle > 0:  # a run that never stepped leaves an empty trace on purpose
-            self.trace.append(rec)
-        self._done = True
+        self.final = self._snapshot(v_meas, [i_ext] * len(self.params), INACTIVE_BITS, i_ext)
+        self.totals.add(self.final)
 
     # -- main loop -------------------------------------------------------
-
-    @property
-    def finished(self) -> bool:
-        return self._done
 
     def step(self) -> Optional[TraceRecord]:
         """Advance one cycle or idle interval.
 
         Returns the record captured at the step's start, or None once the
-        run is over (the final state row is appended to the trace then).
+        run is over, when :attr:`final` holds the state it ended in.  It
+        keeps no row: :meth:`stream` decides which records a run keeps.
         """
-        if self._done:
+        if self.final is not None:
             return None
         cfg = self.cfg
         if self.time >= cfg.max_time:
@@ -483,8 +478,6 @@ class Simulation:
 
         rec = self._snapshot(v_meas, currents, bits, i_ext)
         self.totals.add(rec)
-        if rec.cycle % cfg.record_every == 0:
-            self.trace.append(rec)
 
         shared = [hold_factors(p, dt) for p in self._kinds]
         stepped = [hold_step(p, shared[k], s, a, b, i, dt) for p, k, s, a, b, i in zip(
@@ -501,25 +494,19 @@ class Simulation:
         self.cycle += 1
         return rec
 
-    def run(self) -> None:
-        while self.step() is not None:
-            pass
-
     def stream(self) -> Iterator[TraceRecord]:
-        """Run to completion, handing over the recorded rows in order and
-        emptying :attr:`trace` each time it reaches ``_TRACE_BLOCK`` rows and
-        at the end, so a run of any length holds at most one block."""
-        trace = self.trace
-        while self.step() is not None:
-            if len(trace) >= _TRACE_BLOCK:
-                yield from trace
-                trace.clear()
-        yield from trace
-        trace.clear()
+        """Run to completion, handing over the recorded rows in order: every
+        ``record_every``-th step's record, then :attr:`final`; a run that never
+        stepped records nothing.  Steps run in blocks of ``_TRACE_BLOCK``, so a
+        run of any length holds at most one block of rows."""
+        every, steps = self.cfg.record_every, iter(self.step, None)
+        for block in iter(lambda: list(itertools.islice(steps, _TRACE_BLOCK)), []):
+            yield from (rec for rec in block if rec.cycle % every == 0)
+        if self.cycle > 0:
+            yield self.final
 
 
 def run_scenario(cfg: ScenarioConfig) -> tuple[list[TraceRecord], Summary]:
     """Run a scenario to completion and summarize it."""
     sim = Simulation(cfg)
-    sim.run()
-    return sim.trace, sim.totals.summary()
+    return list(sim.stream()), sim.totals.summary()

@@ -236,6 +236,23 @@ class TestEffectiveConfig:
         run.insert(run.index("policy") + 1, "policies")
         assert list(eff["run"]) == run
 
+    @pytest.mark.parametrize("key", ["cells.0.soc", "charger.cc_current",
+                                     "controller.gap_threshold", "converter.turns_primary",
+                                     "converter.turns_secondary"])
+    @pytest.mark.parametrize("digits", [400, 5000])  # 5000 is over Python's int digit limit
+    def test_integer_beyond_the_float_range_exits_2(self, tmp_path, capsys, key, digits):
+        sign = "-" if key == "charger.cc_current" else ""
+        value = sign + "1" + "0" * digits
+        assert main(["simulate", "--set", f"{key}={value}", "--set", "run.max_time=1",
+                     "--out", str(tmp_path / "run")]) == 2
+        assert key.rpartition(".")[2] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("digits", [400, 5000])
+    def test_config_integer_beyond_the_float_range_exits_2(self, tmp_path, digits):
+        config = tmp_path / "config.json"
+        config.write_text('{"run": {"max_time": 1%s}}' % ("0" * digits))
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "run")]) == 2
+
     @pytest.mark.parametrize("where, raw", WRONG_TYPE_CASES, ids=[w for w, _ in WRONG_TYPE_CASES])
     def test_wrong_type_names_the_key(self, where, raw):
         with pytest.raises(ConfigError, match=re.escape(where)):
@@ -598,19 +615,19 @@ class TestStreamedSimulate:
     @pytest.mark.parametrize("case", CASES)
     def test_matches_whole_trace_write(self, tmp_path, monkeypatch, case):
         sets = self.CASES[case]
-        held = []
-        step = Simulation.step
+        held = []  # as each row is handed over, the steps the run has taken since it
+        stream = Simulation.stream
 
         def spy(sim):
-            rec = step(sim)
-            held.append(len(sim.trace))
-            return rec
+            for rec in stream(sim):
+                held.append(sim.cycle - rec.cycle)
+                yield rec
 
-        monkeypatch.setattr(Simulation, "step", spy)
+        monkeypatch.setattr(Simulation, "stream", spy)
         args = [a for s in sets for a in ("--set", s)]
         assert main(["simulate", *args, "--out", str(tmp_path / "run")]) == 0
         monkeypatch.undo()
-        assert max(held) <= harness._TRACE_BLOCK
+        assert max(held, default=0) <= harness._TRACE_BLOCK
 
         scenario = build_scenario(effective_config(apply_overrides(effective_config({}), sets)))
         trace, summary = run_scenario(scenario)
@@ -1079,6 +1096,7 @@ SET_INDEXES = st.sampled_from(["0", "1", "3", "4", "-1", "-4", "+1", "-0", "01",
 SET_VALUES = st.sampled_from([
     "0", "1", "-1", "0.5", "2", "1e300", "-1e300", "NaN", "-Infinity", "true", "null",
     '"ampc"', "greedy", "idle", "[]", "{}", "[0.5, 0.5]", '["greedy"]', "[1, 2, 3, 4, 5]",
+    "1" + "0" * 400,  # an integer beyond the float range
 ])
 SET_PATHS = st.one_of(
     SET_FIELDS,

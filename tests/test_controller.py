@@ -342,8 +342,8 @@ class TestFirstDecisionGolden:
 
         monkeypatch.setattr(harness, "select_plan", spy)
         sim = harness.Simulation(make_stock_scenario("ampc", **overrides))
-        while not captured and not sim.finished:
-            sim.step()
+        while not captured and sim.step() is not None:
+            pass
         assert captured, "run never produced an active decision"
         return captured[0]
 

@@ -339,7 +339,7 @@ class TestRunScenario:
             max_time=12.0,
         )
         sim = Simulation(cfg)
-        sim.run()
+        list(sim.stream())
         kinds = {ev[1] for ev in sim.events}
         assert "saturation" in kinds
         assert all(s.soc <= 1.0 for s in sim.states)
@@ -361,11 +361,11 @@ class TestRunScenario:
         cells += [(representative_cell_params(), CellState(soc=0.6)) for _ in range(3)]
         cfg = make_stock_scenario("none", cells=cells, max_time=5.0)
         sim = Simulation(cfg)
-        sim.run()
+        trace = list(sim.stream())
         band = [ev for ev in sim.events if ev[1] == "safety_band"]
         assert len(band) == 1  # entry only, no re-report while it persists
         assert "cell 0" in band[0][2]
-        assert all(rec.charger_current == 0.0 for rec in sim.trace)
+        assert all(rec.charger_current == 0.0 for rec in trace)
 
     def test_charger_guard_ends_run_immediately(self):
         cfg = make_stock_scenario(
@@ -375,23 +375,23 @@ class TestRunScenario:
             max_time=100.0,
         )
         sim = Simulation(cfg)
-        sim.run()
-        assert sim.trace == []
+        trace = list(sim.stream())
+        assert trace == []
         assert sim.events and sim.events[0][1] == "charger_guard"
         assert sim.time == 0.0
 
     def test_six_cell_stack_draws_charger_current(self):
         cells = [(representative_cell_params(), CellState(soc=0.6 - 0.04 * j)) for j in range(6)]
         sim = Simulation(make_stock_scenario(cells=cells, max_time=20.0))
-        sim.run()
-        assert sim.trace and all(rec.charger_current == -0.4 for rec in sim.trace)
+        trace = list(sim.stream())
+        assert trace and all(rec.charger_current == -0.4 for rec in trace)
         assert sim.events == []
 
     def test_charger_done_before_charging_is_an_event(self):
         # the stock stack rests near 14.4 V, above a 4 x 3.0 V setpoint
         sim = Simulation(make_stock_scenario("none", charger=ChargerConfig(cv_cell_voltage=3.0)))
-        sim.run()
-        assert sim.trace == []
+        trace = list(sim.stream())
+        assert trace == []
         assert [ev[:2] for ev in sim.events] == [(0.0, "charger")]
 
     @settings(derandomize=True, max_examples=150, deadline=None, database=None)
@@ -410,7 +410,7 @@ class TestRunScenario:
             assert rec is not None, "no non-positive reading in the run"
         assert rec.candidate_bits == INACTIVE_BITS
         assert min(rec.voltage) <= 0.0
-        sim.run()
+        list(sim.stream())
 
     def test_measurement_fault_is_recorded_once_per_entry(self):
         # readings stay non-positive for runs of steps: one event when each run begins
