@@ -29,6 +29,7 @@ import math
 import operator
 import os
 import re
+import reprlib
 import sys
 import typing
 from datetime import datetime, timezone
@@ -38,14 +39,7 @@ from typing import Any, Iterable, Iterator, Sequence
 from .controller import ControllerConfig
 from .ecm import CellParams, CellState, representative_cell_params
 from .flyback import ConverterParams
-from .harness import (
-    ChargerConfig,
-    ScenarioConfig,
-    Simulation,
-    Summary,
-    TraceRecord,
-    advance_charges,
-)
+from .harness import ChargerConfig, ScenarioConfig, Simulation, Summary, TraceRecord
 from . import rls
 
 
@@ -183,21 +177,21 @@ def _coerce(hint: Any, value: Any, where: str) -> Any:
     floats and fixed-length tuples become lists, so the result is JSON."""
     if hint is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{where} must be a number, got {value!r}")
+            raise ConfigError(f"{where} must be a number, got {reprlib.repr(value)}")
         if isinstance(value, int) and abs(value) > sys.float_info.max:
             raise ConfigError(f"{where} is an integer outside the float range")
         return float(value)
     if hint is int:
         if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{where} must be an integer, got {value!r}")
+            raise ConfigError(f"{where} must be an integer, got {reprlib.repr(value)}")
         return int(value)
     if hint is bool:
         if not isinstance(value, bool):
-            raise ConfigError(f"{where} must be true or false, got {value!r}")
+            raise ConfigError(f"{where} must be true or false, got {reprlib.repr(value)}")
         return value
     if hint is str:
         if not isinstance(value, str):
-            raise ConfigError(f"{where} must be a string, got {value!r}")
+            raise ConfigError(f"{where} must be a string, got {reprlib.repr(value)}")
         return value
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin is typing.Union and args == (float, type(None)):
@@ -527,19 +521,16 @@ _IDENT_COLUMNS = ["time_s", "cell", "theta1", "theta2", "theta3", "prediction_er
 def replay_identification(
     records: Iterable[TraceRecord], scenario: ScenarioConfig
 ) -> Iterator[tuple[float, int, float, float, float, float]]:
-    """Re-run the scenario's online estimator over a recorded trace, one update
-    per cell and record, yielding each update's (time, cell, thetas,
-    innovation) as the records arrive.  As online, a row's voltage pairs with
-    the previous row's currents (the charger's on the first row) and the charge
-    they moved, so the thetas equal the recorded ones bit for bit on every row
-    but the last, which the run records without an update.
+    """Feed the scenario's online identification a recorded trace, as the run fed
+    it, yielding each record's (time, cell, thetas, innovation) per cell as the
+    records arrive.  The same :class:`rls.Identification` steps make both, so
+    the thetas equal the recorded ones bit for bit on every row but the last,
+    which the run records without an update.
     """
     cells = [params for params, _ in scenario.cells]
-    est = rls.initial_estimators(
+    ident = rls.Identification(
         cells, scenario.warm_start, scenario.initial_covariance, scenario.forgetting_factor
     )
-    capacities = [p.capacity_coulombs for p in cells]
-    charges = [0.0] * len(cells)
     prev = None
     for rec in records:
         if prev is None:
@@ -547,16 +538,15 @@ def replay_identification(
                 raise ConfigError(
                     f"trace has {len(rec.voltage)} cells but the config defines {len(cells)}"
                 )
-            currents = [rec.charger_current] * len(cells)
+        elif rec.cycle != prev.cycle + 1:
+            raise ConfigError(
+                f"trace skips from cycle {prev.cycle} to {rec.cycle}; "
+                "identify needs run.record_every=1"
+            )
         else:
-            if rec.cycle != prev.cycle + 1:
-                raise ConfigError(
-                    f"trace skips from cycle {prev.cycle} to {rec.cycle}; "
-                    "identify needs run.record_every=1"
-                )
-            currents, dt = prev.current, rec.time - prev.time
-            charges = advance_charges(charges, currents, dt, prev.soc, rec.soc, capacities)
-        est = rls.update(est, rls.regressor_rows(currents, charges, capacities), rec.voltage)
+            ident.advance(prev.current, rec.time - prev.time, prev.soc, rec.soc)
+        ident.measure(rec.voltage, rec.charger_current)
+        est = ident.estimator
         for j, (theta, e) in enumerate(zip(est.theta, est.innovation)):
             yield (rec.time, j + 1, *theta, e)
         prev = rec

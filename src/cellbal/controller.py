@@ -20,11 +20,14 @@ from operator import itemgetter
 from typing import Optional, Sequence
 
 from . import rls
-from .ecm import CellParams, CellState, hold_factors, hold_step, ocv_curve
+from .ecm import CellParams, hold_factors, hold_step, ocv_curve
 from .flyback import CYCLE_OF, ConverterParams, SwitchPlan, distinct_cycles
 
 # The 9 distinct cycles' scores as the 16 schedules' scores, in schedule order.
 _BY_SCHEDULE = itemgetter(*CYCLE_OF)
+
+# The true cell models as the lists (params, soc, v1, v2), one entry per cell.
+Plant = tuple[Sequence[CellParams], Sequence[float], Sequence[float], Sequence[float]]
 
 # "ampc" scores the 9 distinct cycles of the 16 schedules; "greedy" runs
 # schedule 0 on the top three cells unscored; "none" never balances.
@@ -112,23 +115,23 @@ def predict_stds(
 
 def predict_stds_plant(
     ranking: Sequence[int],
-    plant: Sequence[tuple[CellParams, CellState]],
+    plant: Plant,
     external_current: float,
     conv: ConverterParams,
     voltages: Sequence[float],
 ) -> tuple[float, ...]:
     """Predicted end-of-cycle voltage spread of every schedule, in schedule order, from
-    the true cell models: each state stepped by the cell's average current, as
+    the true cell models, given as the lists (params, soc, v1, v2) of the cells' parameters
+    and flat states: each state stepped by the cell's average current, as
     :func:`predict_stds` forms it, and read at the external current alone, since all
     converter currents are exactly zero at the end of a cycle.  The cycles share one
     length, so each cell's hold factors serve all 9."""
     secondary, drains, duration = distinct_cycles(conv, voltages, ranking[:3])
-    deltas = [secondary] * len(plant)
+    deltas = [secondary] * len(voltages)
     for j, cell_drains in zip(ranking[:3], drains):
         deltas[j] = [s - d for s, d in zip(secondary, cell_drains)]
     predicted = []
-    for (params, state), cell in zip(plant, deltas):
-        soc, v1, v2 = state.soc, state.v1, state.v2
+    for params, soc, v1, v2, cell in zip(*plant, deltas):
         factors = hold_factors(params, duration) if duration > 0.0 else None
         ends = [hold_step(params, factors, soc, v1, v2, external_current - d / duration,
                           duration) if factors else (soc, v1, v2, False) for d in cell]
@@ -147,7 +150,7 @@ def select_plan(
     cfg: ControllerConfig,
     *,
     capacities: Optional[Sequence[float]] = None,
-    plant: Optional[Sequence[tuple[CellParams, CellState]]] = None,
+    plant: Optional[Plant] = None,
     policy: str = "ampc",
 ) -> Decision:
     """Evaluate the trigger and, when active, pick the policy's schedule.

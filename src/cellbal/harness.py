@@ -2,12 +2,13 @@
 
 One simulated step is one balancing cycle when the controller is active,
 or one fixed idle interval when it is not.  Each step measures the cell
-voltages (optionally with seeded Gaussian noise), feeds every cell's online
-estimator, lets the controller decide, applies the chosen schedule's row of
-the converter's charge table at the frozen true voltages, then advances the
-true cell models by the resulting average currents, over exactly the time
-the clock moves, with the exact-hold integrator.  Everything is
-deterministic for a fixed seed.
+voltages (optionally with seeded Gaussian noise), feeds them to the stack's
+``rls.Identification``, lets the controller decide, applies the chosen
+schedule's row of the converter's charge table at the frozen true voltages,
+then advances the true cell models by the resulting average currents, over
+exactly the time the clock moves, with the exact-hold integrator, and the
+identification's charges by the same currents.  Everything is deterministic
+for a fixed seed.
 """
 
 from __future__ import annotations
@@ -180,14 +181,20 @@ class ScenarioConfig:
                 )
         # The largest regressor entry.  A current stays under the charger's plus a winding's
         # drain and freewheel, each under the peak current scaled by the widest voltage
-        # ratio, 2 v_max / v_min.  q counts only charge that moves the SOC (advance_charges),
+        # ratio, 2 v_max / v_min.  q counts only charge that moves the SOC (Identification),
         # so |q/C| <= 1, but a leak moves it uncounted: the run's charge bounds that q/C.
         ratio = 2.0 * max(p.v_max for p, _ in self.cells) / v_floor
         i_max = abs(self.charger.cc_current) + c.peak_current * ratio * (
             1.0 + 2.0 * c.turns_primary / c.turns_secondary)
         leaky = [p.capacity_coulombs for p, _ in self.cells if p.self_discharge_resistance]
         q_max = i_max * self.max_time / min(leaky) if leaky else 1.0
-        p0_max = rls.max_p0_scale(max(1.0, i_max, q_max), self.forgetting_factor)
+        x_max = max(1.0, i_max, q_max)
+        p0_max = rls.max_p0_scale(x_max, self.forgetting_factor)
+        if not p0_max > 0.0:  # x_max squared overflows: no covariance keeps P definite
+            leak = ", run.max_time and the leaky cells' capacity_coulombs" if leaky else ""
+            raise ValueError(f"regressor bound {x_max:.4g} overflows the estimator; it grows "
+                             "with charger.cc_current, converter.peak_current and "
+                             f"converter.turns_primary / converter.turns_secondary{leak}")
         if not 0.0 < self.initial_covariance <= p0_max:
             raise ValueError(
                 f"initial_covariance must lie in (0, {p0_max:.4g}] for this scenario's "
@@ -230,14 +237,6 @@ class Summary:
     time_avg_voltage_std: float
     gap_uniformity: float                # time-averaged std of sorted-voltage gaps
     converter_coulombs: float            # charge drawn through the converter
-
-
-def advance_charges(charges, currents, dt, socs, socs_next, capacities) -> list[float]:
-    """Each cell's charge accumulator after a step, from what a trace records: plus the
-    charge its current moves, or only its SOC's change when the step ends at a reservoir
-    limit, so the estimator does not count the charge that the clamp refuses."""
-    return [q + ((s - s_next) * c if s_next == 0.0 or s_next == 1.0 else i * dt)
-            for q, i, s, s_next, c in zip(charges, currents, socs, socs_next, capacities)]
 
 
 def _sorted_gap_std(voltages: Sequence[float]) -> float:
@@ -321,10 +320,8 @@ class Simulation:
         # cells with equal parameters share one set of hold factors per step
         self._kinds = list(dict.fromkeys(self.params))
         self._kind = [self._kinds.index(p) for p in self.params]
-        self.capacities = [p.capacity_coulombs for p in self.params]
         self._r_stack = sum(p.series_resistance for p in self.params)
-        self.accumulators = [0.0] * len(self.params)
-        self.estimator = rls.initial_estimators(
+        self.identification = rls.Identification(
             self.params, cfg.warm_start, cfg.initial_covariance, cfg.forgetting_factor
         )
         self.charger_state = ChargerState()
@@ -335,15 +332,9 @@ class Simulation:
         self.totals = _Totals(cfg.controller.gap_threshold)  # sees every step
         self.final: Optional[TraceRecord] = None  # the state the run ended in
         self.events: list[tuple[float, str, str]] = []
-        self._last_currents: Optional[list[float]] = None
         self._in_band_violation: set[int] = set()
         self._faulty: set[int] = set()
         self._clamped = [False] * len(self.params)
-
-    @property
-    def states(self) -> tuple[CellState, ...]:
-        """Each cell's state, built from the flat :attr:`soc`, :attr:`v1` and :attr:`v2`."""
-        return tuple(map(CellState, self.soc, self.v1, self.v2))
 
     # -- helpers ---------------------------------------------------------
 
@@ -401,18 +392,12 @@ class Simulation:
         self._faulty = set(faulty)
         if faulty:
             return None
-        return select_plan(
-            v_meas,
-            self.estimator,
-            self.accumulators,
-            i_ext,
-            cfg.converter,
-            cfg.controller,
-            capacities=self.capacities,
-            plant=(list(zip(self.params, self.states))
-                   if cfg.controller.prediction_source == "plant" else None),
-            policy=cfg.policy,
-        ).plan
+        ident = self.identification
+        plant = ((self.params, self.soc, self.v1, self.v2)
+                 if cfg.controller.prediction_source == "plant" else None)
+        return select_plan(v_meas, ident.estimator, ident.charges, i_ext, cfg.converter,
+                           cfg.controller, capacities=ident.capacities, plant=plant,
+                           policy=cfg.policy).plan
 
     def _snapshot(self, v_meas, currents, bits, i_ext) -> TraceRecord:
         return TraceRecord(
@@ -421,7 +406,7 @@ class Simulation:
             soc=tuple(self.soc),
             voltage=tuple(v_meas),
             current=tuple(currents),
-            theta=self.estimator.theta,
+            theta=self.identification.estimator.theta,
             candidate_bits=bits,
             voltage_std=std(v_meas),
             charger_current=i_ext,
@@ -449,11 +434,7 @@ class Simulation:
             return None
 
         v_true, v_meas, i_ext = self._measure()
-
-        # the current that flowed up to this measurement (the charger's at first)
-        reg_currents = self._last_currents or [i_ext] * len(self.params)
-        x = rls.regressor_rows(reg_currents, self.accumulators, self.capacities)
-        self.estimator = rls.update(self.estimator, x, v_meas)
+        self.identification.measure(v_meas, i_ext)
 
         plan = self._decide(v_meas, i_ext)
         if plan is None and self.charger_state.phase == "done":
@@ -487,9 +468,7 @@ class Simulation:
         self.events += [(self.time, "saturation", f"cell {j} hit a reservoir limit")
                         for j, hit in enumerate(clamped) if hit and not self._clamped[j]]
         self._clamped = clamped
-        self.accumulators = advance_charges(self.accumulators, currents, dt, rec.soc,
-                                            self.soc, self.capacities)
-        self._last_currents = currents
+        self.identification.advance(currents, dt, rec.soc, self.soc)
         self.time = end
         self.cycle += 1
         return rec

@@ -19,6 +19,9 @@ An estimator is a stack of cells (a lone one is a 1-cell stack), and ``update``,
 per-call overhead on 3-vectors costs more than the arithmetic.  Their dots
 round each product and sum in turn where numpy's 3-term dot is a fused
 multiply-add chain, so results differ in the last bits from numpy's.
+
+``Identification`` alone pairs measurements with regressors: a run and
+``cli.replay_identification`` make the same calls, so a replay gives the run's thetas.
 """
 
 from __future__ import annotations
@@ -73,12 +76,6 @@ def warm_start_theta(params: CellParams) -> tuple[float, float, float]:
     """
     slope = ocv(params, 1.0) - ocv(params, 0.0)
     return (-float(params.series_resistance), -slope, ocv(params, 0.5))
-
-
-def initial_estimators(cells, warm_start, p0_scale, forgetting_factor) -> RlsEstimator:
-    """One stacked estimator, each cell warm from its nominal model or cold at zero."""
-    theta0 = [warm_start_theta(p) if warm_start else (0.0, 0.0, 0.0) for p in cells]
-    return init(theta0, p0_scale, forgetting_factor)
 
 
 def regressor_rows(currents, charges, capacities) -> list[tuple[float, float, float]]:
@@ -138,3 +135,32 @@ def fold(est: RlsEstimator, duration, charges, capacities, offset) -> list[tuple
     b = q*theta2/C + theta3 - offset.  Equal to :func:`predict` up to rounding."""
     cells = zip(est.theta, charges, capacities, strict=True)
     return [(t0 + duration * t1 / c, q * t1 / c + t2 - offset) for (t0, t1, t2), q, c in cells]
+
+
+class Identification:
+    """A stack's online identification, fed one step at a time by a run or by a replay of
+    its trace: :meth:`measure` pairs each step's voltages with the currents that flowed up
+    to them (the external current before any step) and with the charge those moved, and
+    :meth:`advance` moves that charge.  Each cell starts warm from its nominal model or
+    cold at zero."""
+
+    def __init__(self, cells, warm_start: bool, p0_scale: float, forgetting_factor: float):
+        theta0 = [warm_start_theta(p) if warm_start else (0.0, 0.0, 0.0) for p in cells]
+        self.estimator = init(theta0, p0_scale, forgetting_factor)
+        self.capacities = [p.capacity_coulombs for p in cells]
+        self.charges = [0.0] * len(cells)  # each cell's q since the start
+        self.currents = None               # the last step's, once a step has run
+
+    def measure(self, voltages, external_current: float) -> None:
+        """One ``update`` of every cell with its measured voltage."""
+        currents = self.currents or [external_current] * len(self.charges)
+        self.estimator = update(self.estimator, regressor_rows(
+            currents, self.charges, self.capacities), voltages)
+
+    def advance(self, currents, dt: float, socs, socs_next) -> None:
+        """Count a step of each cell's current over dt, or only its SOC's change when the
+        step ends at a reservoir limit, so q leaves out the charge the clamp refuses."""
+        self.charges = [q + ((s - s_next) * c if s_next == 0.0 or s_next == 1.0 else i * dt)
+                        for q, i, s, s_next, c in zip(
+                            self.charges, currents, socs, socs_next, self.capacities)]
+        self.currents = currents

@@ -93,7 +93,7 @@ def scoring_states(draw, sizes=st.integers(4, 8)):
     """A scorer's inputs on a stack of 4 to 8 cells, or of a size drawn from ``sizes``: a
     converter, measured voltages, a stacked estimator scattered around the warm start,
     charge accumulators, capacities, the charger current and a plant of representative
-    cells at their own SOCs."""
+    cells at their own SOCs, as the lists (params, soc, v1, v2)."""
     n = draw(sizes)
 
     def cells(values):
@@ -109,5 +109,5 @@ def scoring_states(draw, sizes=st.integers(4, 8)):
         accumulators=cells(st.floats(-5000.0, 5000.0)),
         capacities=cells(st.floats(100.0, 10000.0)),
         i_ext=draw(st.sampled_from([0.0, -0.4]) | st.floats(-2.0, 0.0)),
-        plant=[(params, CellState(soc=s)) for s in cells(st.floats(0.05, 0.95))],
+        plant=([params] * n, cells(st.floats(0.05, 0.95)), [0.0] * n, [0.0] * n),
     )

@@ -349,11 +349,23 @@ def numpy_predict_stds(
     return row_stds(predicted)
 
 
+def flat_plant(cells):
+    """(params, CellState) pairs as the lists (params, soc, v1, v2) the plant scorer takes."""
+    params, states = zip(*cells)
+    return list(params), [s.soc for s in states], [s.v1 for s in states], [s.v2 for s in states]
+
+
+def plant_pairs(plant):
+    """The plant scorer's lists (params, soc, v1, v2) as (params, CellState) pairs."""
+    params, soc, v1, v2 = plant
+    return zip(params, map(CellState, soc, v1, v2))
+
+
 def numpy_predict_stds_plant(ranking, plant, external_current, conv, voltages) -> np.ndarray:
     """All 16 predicted spreads from the true models, 16 x n ``step_exact`` calls."""
     currents, duration = _cycle_currents(ranking, conv, voltages, external_current)
     predicted = np.empty(currents.shape)
-    for j, (params, state) in enumerate(plant):
+    for j, (params, state) in enumerate(plant_pairs(plant)):
         for k, (current, dt) in enumerate(zip(currents[:, j].tolist(), duration.tolist())):
             end = step_exact(params, state, current, dt)[0] if dt > 0.0 else state
             predicted[k, j] = terminal_voltage(params, end, external_current)
@@ -377,7 +389,7 @@ def step_exact_predict_stds_plant(ranking, plant, external_current, conv, voltag
     deltas, duration = distinct_deltas(conv, voltages, ranking[:3])
     spread = duration if duration > 0.0 else np.inf
     predicted = []
-    for (params, state), cell in zip(plant, deltas):
+    for (params, state), cell in zip(plant_pairs(plant), deltas):
         ends = [step_exact(params, state, external_current - d / spread, duration)[0]
                 if duration > 0.0 else state for d in cell]
         predicted.append([terminal_voltage(params, end, external_current) for end in ends])

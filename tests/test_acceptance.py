@@ -25,7 +25,13 @@ import cellbal.harness as harness
 from cellbal.flyback import SCHEDULES, simulate_cycle
 from cellbal.cli import read_trace, replay_identification, write_trace
 from conftest import make_stock_scenario, run_cli
-from oracles import euler_step, fine_cycle_deltas, fine_cycle_stds, integrate_pwl_between
+from oracles import (
+    euler_step,
+    fine_cycle_deltas,
+    fine_cycle_stds,
+    integrate_pwl_between,
+    plant_pairs,
+)
 
 GAP_THRESHOLD = 0.02
 STICK = 1e-12  # slack for <= comparisons settled by exact arithmetic
@@ -78,7 +84,8 @@ def plant_capture():
     def spy(voltages, estimators, accumulators, external_current, conv, cfg, **kw):
         d = real(voltages, estimators, accumulators, external_current, conv, cfg, **kw)
         if d.plan is not None:
-            captured.append((tuple(voltages), tuple(kw["plant"]), external_current, d))
+            plant = tuple(plant_pairs(kw["plant"]))
+            captured.append((tuple(voltages), plant, external_current, d))
         return d
 
     harness.select_plan = spy

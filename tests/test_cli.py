@@ -247,6 +247,13 @@ class TestEffectiveConfig:
                      "--out", str(tmp_path / "run")]) == 2
         assert key.rpartition(".")[2] in capsys.readouterr().err
 
+    def test_non_numeric_value_is_echoed_shortened(self, tmp_path, capsys):
+        # 5000 digits are over Python's int digit limit, so the value stays a string
+        assert main(["simulate", "--set", "run.max_time=1" + "0" * 5000,
+                     "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert "run.max_time must be a number" in err and len(err) < 200
+
     @pytest.mark.parametrize("digits", [400, 5000])
     def test_config_integer_beyond_the_float_range_exits_2(self, tmp_path, digits):
         config = tmp_path / "config.json"
@@ -490,6 +497,19 @@ class TestSimulateCommand:
         assert r.returncode == 0, r.stderr
         trace = read_trace(tmp_path / "run" / "trace.csv")
         assert min(min(rec.voltage) for rec in trace) <= 0.0
+
+    @pytest.mark.parametrize("assignment", [
+        "converter.turns_primary=1" + "0" * 300,
+        "converter.turns_primary=1" + "0" * 308,
+        "charger.cc_current=-1e300",
+    ], ids=["turns_primary=1e300", "turns_primary=1e308", "cc_current=-1e300"])
+    def test_overflowing_regressor_bound_names_its_inputs(self, tmp_path, capsys, assignment):
+        # a finite bound whose square overflows leaves no initial_covariance to choose
+        assert main(["simulate", "--set", assignment, "--set", "run.max_time=1",
+                     "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert "converter.turns_primary / converter.turns_secondary" in err
+        assert "charger.cc_current" in err and "initial_covariance" not in err
 
     def test_huge_inductance_exits_2(self, tmp_path):
         r = cli(
@@ -1189,7 +1209,7 @@ class TestSaturatingRuns:
                                              max_time=100.0))
         trace = list(sim.stream())
         assert any(kind == "saturation" for _, kind, _ in sim.events)
-        assert trace[-1].soc == (1.0,) * 4 and sim.accumulators == [0.0] * 4
+        assert trace[-1].soc == (1.0,) * 4 and sim.identification.charges == [0.0] * 4
         replayed = list(replay_identification(iter(trace), sim.cfg))
         assert [tuple(r[2:5]) for r in replayed[:-4]] == [
             theta for rec in trace[:-1] for theta in rec.theta

@@ -30,6 +30,7 @@ from cellbal.flyback import SCHEDULES, SwitchPlan
 from conftest import leaky_cells, make_stock_scenario, scoring_states
 from oracles import (
     first_min,
+    flat_plant,
     numpy_pick,
     numpy_predict_stds,
     numpy_predict_stds_plant,
@@ -251,12 +252,12 @@ class TestPredictions:
         p = representative_cell_params()
         v_base = ocv(p, 0.5)
         soc_hi = brentq(lambda s: ocv(p, s) - (v_base + 0.05), 0.5, 0.9, xtol=1e-15)
-        plant = [
+        plant = flat_plant([
             (p, CellState(soc=float(soc_hi))),
             (p, CellState(soc=0.5)),
             (p, CellState(soc=0.5)),
             (p, CellState(soc=0.5)),
-        ]
+        ])
         voltages = [v_base + 0.05, v_base, v_base, v_base]
         baseline = std(voltages)
         ranking = rank_cells(voltages)
@@ -288,8 +289,8 @@ class TestSelectPlan:
         sim = harness.Simulation(make_stock_scenario("ampc"))
         sim.step()
         d = select_plan(
-            [4.0, 3.92, 3.89, 3.86], sim.estimator, sim.accumulators, -0.4, sim.cfg.converter,
-            sim.cfg.controller, capacities=sim.capacities,
+            [4.0, 3.92, 3.89, 3.86], sim.identification.estimator, sim.identification.charges,
+            -0.4, sim.cfg.converter, sim.cfg.controller, capacities=sim.identification.capacities,
         )
         assert d.predicted_std[d.plan.schedule] == min(d.predicted_std)
 
@@ -388,7 +389,8 @@ class TestVectorizedScoring:
         rng = np.random.default_rng(7)
         for voltages, ests, accumulators, capacities, i_ext in self.STATES[:40]:
             ranking = rank_cells(voltages)
-            plant = [(p, CellState(soc=float(s))) for s in rng.uniform(0.2, 0.9, size=4)]
+            plant = flat_plant(
+                [(p, CellState(soc=float(s))) for s in rng.uniform(0.2, 0.9, size=4)])
             for stds in (
                 predict_stds(ranking, ests, accumulators, capacities, i_ext, CONV, voltages),
                 predict_stds_plant(ranking, plant, i_ext, CONV, voltages),
@@ -467,7 +469,7 @@ class TestDistinctScoring:
     @given(scoring_states(), st.data())
     def test_true_models_are_the_per_cycle_step_exact_bit_for_bit(self, state, data):
         # self-discharging cells, and cells that a cycle drives into a reservoir limit
-        plant = data.draw(leaky_cells(len(state["voltages"])))
+        plant = flat_plant(data.draw(leaky_cells(len(state["voltages"]))))
         args = (plant, state["i_ext"], state["conv"], state["voltages"])
         ranking = rank_cells(state["voltages"])
         got = predict_stds_plant(ranking, *args)

@@ -342,7 +342,7 @@ class TestRunScenario:
         list(sim.stream())
         kinds = {ev[1] for ev in sim.events}
         assert "saturation" in kinds
-        assert all(s.soc <= 1.0 for s in sim.states)
+        assert all(s <= 1.0 for s in sim.soc)
 
     def test_saturation_is_recorded_once_per_entry(self):
         # four full 10 C cells charged for 20 000 s sit at the clamp from the first step
@@ -429,7 +429,7 @@ class TestRunScenario:
         # noiseless, so the recorded voltages are the true ones the cycle ran at
         sim = Simulation(make_stock_scenario(max_time=20.0))
         while True:  # a step late enough that t + t3 rounds
-            before = list(sim.accumulators)
+            before = list(sim.identification.charges)
             rec = sim.step()
             if rec.time > 1.0 and rec.candidate_bits != INACTIVE_BITS:
                 break
@@ -439,7 +439,7 @@ class TestRunScenario:
         dt = (rec.time + t3) - rec.time
         assert rec.current == tuple(rec.charger_current - d / dt for d in deltas)
         assert sim.time - rec.time == dt
-        assert sim.accumulators == [q + i * dt for q, i in zip(before, rec.current)]
+        assert sim.identification.charges == [q + i * dt for q, i in zip(before, rec.current)]
 
     def test_greedy_ranks_once_per_step(self, monkeypatch):
         calls = []
@@ -466,6 +466,37 @@ class TestRunScenario:
             for n in (1, 10, 100)
         ]
         assert summaries[0] == summaries[1] == summaries[2]
+
+
+class TestWholeRuns:
+    """Invariants of whole generated runs on noiseless 4- to 8-cell stacks with no leak,
+    whose SOCs stay away from the reservoir limits."""
+
+    @settings(derandomize=True, max_examples=25, deadline=None, database=None)
+    @given(st.integers(4, 8).flatmap(lambda n: st.lists(st.tuples(
+        st.floats(0.2, 0.75), st.floats(1500.0, 4000.0), st.floats(0.05, 0.1)),
+        min_size=n, max_size=n)), st.sampled_from(POLICIES))
+    def test_identified_charge_is_the_soc_change(self, cells, policy):
+        stack = [(representative_cell_params(capacity_coulombs=c, series_resistance=r),
+                  CellState(soc=s)) for s, c, r in cells]
+        sim = Simulation(make_stock_scenario(policy, cells=stack, max_time=10.0))
+        list(sim.stream())
+        assert sim.cycle > 0 and not any(kind == "saturation" for _, kind, _ in sim.events)
+        # each step rounds the SOC and the charge by under 2**-50 of the capacity
+        for (s0, c, _), q, s in zip(cells, sim.identification.charges, sim.soc):
+            assert abs(q - c * (s0 - s)) <= sim.cycle * c * 2.0**-50
+
+    @settings(derandomize=True, max_examples=25, deadline=None, database=None)
+    @given(st.integers(4, 8), st.floats(0.2, 0.75), st.floats(1500.0, 4000.0),
+           st.sampled_from(POLICIES), st.sampled_from(["cc_cv", "idle"]))
+    def test_identical_cells_at_one_soc_never_balance(self, n, soc, capacity, policy, mode):
+        cell = (representative_cell_params(capacity_coulombs=capacity), CellState(soc=soc))
+        sim = Simulation(make_stock_scenario(policy, cells=[cell] * n, max_time=30.0,
+                                             charger=ChargerConfig(mode=mode)))
+        trace = list(sim.stream())
+        assert trace and all(rec.candidate_bits == INACTIVE_BITS for rec in trace)
+        assert all(i == rec.charger_current for rec in trace for i in rec.current)
+        assert sim.totals.summary().converter_coulombs == 0.0
 
 
 class TestSummarize:
@@ -547,9 +578,9 @@ class TestPlantStep:
         sim = Simulation(make_stock_scenario(
             policy, cells=cells, charger=charger, initial_covariance=100.0, max_time=3.0,
             controller=ControllerConfig(prediction_source=source)))
-        before = tuple(sim.states)
+        before = tuple(map(CellState, sim.soc, sim.v1, sim.v2))
         while (rec := sim.step()) is not None:
-            after, dt = tuple(sim.states), sim.time - rec.time
+            after, dt = tuple(map(CellState, sim.soc, sim.v1, sim.v2)), sim.time - rec.time
             assert rec.soc == tuple(s.soc for s in before)
             for p, s, i, got in zip(sim.params, before, rec.current, after):
                 assert _bits(got) == _bits(step_exact(p, s, i, dt)[0])
