@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import collections
-import concurrent.futures
 import contextlib
 import copy
 import csv
@@ -32,7 +31,6 @@ import re
 import reprlib
 import sys
 import typing
-from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Sequence
 
@@ -139,7 +137,7 @@ def apply_overrides(raw: dict, assignments: Sequence[str]) -> dict:
     for item in assignments:
         key, sep, value_text = item.partition("=")
         if not sep or not key:
-            raise ConfigError(f"--set needs key=value, got {item!r}")
+            raise ConfigError(f"--set needs key=value, got {reprlib.repr(item)}")
         try:
             value = json.loads(value_text)
         except ValueError:  # not JSON, or an integer over Python's digit limit
@@ -154,14 +152,15 @@ def apply_overrides(raw: dict, assignments: Sequence[str]) -> dict:
             elif isinstance(node, list):
                 node = node[_list_index(node, part, key)]
             else:
-                raise ConfigError(f"--set {key}: {'.'.join(parts[:depth])} is not a container")
+                raise ConfigError(
+                    f"--set {_clip(key)}: {_clip('.'.join(parts[:depth]))} is not a container")
         leaf = parts[-1]
         if isinstance(node, dict):
             node[leaf] = value
         elif isinstance(node, list):
             node[_list_index(node, leaf, key)] = value
         else:
-            raise ConfigError(f"--set {key}: target is not a container")
+            raise ConfigError(f"--set {_clip(key)}: target is not a container")
     return cfg
 
 
@@ -169,7 +168,13 @@ def _list_index(node: list, part: str, key: str) -> int:
     # one rule wherever a path meets a list: a non-negative decimal within range
     if part.isascii() and part.isdigit() and int(part) < len(node):
         return int(part)
-    raise ConfigError(f"--set {key}: bad list index {part!r}, out of range for {len(node)} items")
+    raise ConfigError(f"--set {_clip(key)}: bad list index {reprlib.repr(part)}, "
+                      f"out of range for {len(node)} items")
+
+
+def _clip(text: str) -> str:
+    # a key echoed unquoted in a message, cut to its ends as reprlib cuts a long value
+    return reprlib.repr(text)[1:-1]
 
 
 def _coerce(hint: Any, value: Any, where: str) -> Any:
@@ -214,7 +219,7 @@ def _merge_section(name: str, schema: dict, defaults: dict, given: Any) -> dict:
         raise ConfigError(f"section {name!r} must be an object")
     for key in given:
         if key not in schema:
-            raise ConfigError(f"unknown key {name}.{key}")
+            raise ConfigError(f"unknown key {name}.{_clip(key)}")
     return {
         key: _coerce(hint, given.get(key, defaults[key]), f"{name}.{key}")
         for key, hint in schema.items()
@@ -228,7 +233,7 @@ def effective_config(raw: dict) -> dict:
         raise ConfigError("config must be a JSON object")
     for key in raw:
         if key not in _SCHEMA:
-            raise ConfigError(f"unknown config section {key!r}")
+            raise ConfigError(f"unknown config section {reprlib.repr(key)}")
 
     cells_raw = raw.get("cells")
     if cells_raw is None:
@@ -419,16 +424,28 @@ def iter_trace(path: str | Path) -> Iterator[TraceRecord]:
                     voltage_std=float(row[-2]),
                     charger_current=float(row[-1]),
                 )
-            except ValueError as e:
-                raise TraceFormatError(f"{p}: line {line_no}: {e}") from None
+            except ValueError as e:  # a field that is no number, or bad candidate bits
+                fault = _bad_field(header, row) or e
+                raise TraceFormatError(f"{p}: line {line_no}: {fault}") from None
             numbers = (rec.time, rec.voltage_std, rec.charger_current, *cells)
             if not all(map(math.isfinite, numbers)):
-                name, text = next(
-                    (name, text) for name, text in zip(header, row)
-                    if name not in ("cycle", "candidate_bits") and not math.isfinite(float(text))
-                )
-                raise TraceFormatError(f"{p}: line {line_no}: {name} is {text!r}, not finite")
+                raise TraceFormatError(f"{p}: line {line_no}: {_bad_field(header, row)}")
             yield rec
+
+
+def _bad_field(header: Sequence[str], row: Sequence[str]) -> str | None:
+    """The first numeric field of a trace row that is not a finite number, named and
+    with its text shortened, or None if there is none."""
+    for name, text in zip(header, row):
+        if name == "candidate_bits":
+            continue
+        try:
+            value = int(text) if name == "cycle" else float(text)
+        except ValueError:
+            return f"{name} is {reprlib.repr(text)}, not a number"
+        if not math.isfinite(value):
+            return f"{name} is {reprlib.repr(text)}, not finite"
+    return None
 
 
 def _write_json(path: Path, data: Any) -> None:
@@ -443,6 +460,8 @@ def _resolve_out(given: str | None, command: str) -> Path:
     if given is not None:
         out = Path(given)
     else:
+        from datetime import datetime, timezone  # here, as only an unnamed --out needs it
+
         stamp = datetime.now(timezone.utc).strftime("%Y%m%d-%H%M%S")
         out = Path("runs") / f"{command}-{stamp}"
         suffix = 0
@@ -490,7 +509,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if not policies:
         raise ConfigError("sweep needs a non-empty run.policies list")
     if len(set(policies)) != len(policies):
-        raise ConfigError(f"duplicate policy names in run.policies: {policies}")
+        raise ConfigError(f"duplicate policy names in run.policies: {reprlib.repr(policies)}")
     # fail fast on a bad policy name or cell/converter config before any run
     scenarios = {p: build_scenario(eff, policy=p) for p in policies}
     out = _resolve_out(args.out, "sweep")
@@ -499,6 +518,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if jobs == 1 or len(policies) == 1:
         summaries = {p: _run(s, out / p)[1] for p, s in scenarios.items()}
     else:
+        import concurrent.futures  # here, as only a parallel sweep needs it
+
         with concurrent.futures.ProcessPoolExecutor(
             max_workers=min(jobs, len(policies))
         ) as pool:

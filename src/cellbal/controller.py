@@ -15,6 +15,7 @@ truth, from the true cell models themselves.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Optional, Sequence
@@ -43,9 +44,8 @@ class ControllerConfig:
         if not (self.gap_threshold > 0.0 and math.isfinite(self.gap_threshold)):
             raise ValueError("gap_threshold must be positive and finite")
         if self.prediction_source not in ("rls", "plant"):
-            raise ValueError(
-                f"prediction_source must be 'rls' or 'plant', got {self.prediction_source!r}"
-            )
+            raise ValueError("prediction_source must be 'rls' or 'plant', "
+                             f"got {reprlib.repr(self.prediction_source)}")
 
 
 @dataclass(frozen=True)
@@ -159,7 +159,7 @@ def select_plan(
     schedule index, so equal predictions select the all-off schedule 0.
     """
     if policy not in POLICIES:
-        raise ValueError(f"policy must be one of {', '.join(POLICIES)}, got {policy!r}")
+        raise ValueError(f"policy must be one of {', '.join(POLICIES)}, got {reprlib.repr(policy)}")
     ranking = rank_cells(voltages)
     if policy == "none" or not should_balance(voltages, cfg):
         return Decision(None, (), ranking)

@@ -16,8 +16,9 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import reprlib
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Any, Callable, Iterator, Optional, Sequence
 
 from . import rls
 from .controller import POLICIES, ControllerConfig, select_plan, std
@@ -47,7 +48,8 @@ class ChargerConfig:
 
     def __post_init__(self) -> None:
         if self.mode not in ("cc_cv", "idle"):
-            raise ValueError(f"charger mode must be 'cc_cv' or 'idle', got {self.mode!r}")
+            raise ValueError(
+                f"charger mode must be 'cc_cv' or 'idle', got {reprlib.repr(self.mode)}")
         if self.mode == "cc_cv":
             if not self.cc_current < 0.0:
                 raise ValueError("cc_current must be negative (charging)")
@@ -136,7 +138,8 @@ class ScenarioConfig:
             if not 0.0 < v <= 2.0 * p.v_max:
                 raise ValueError(f"cell {j} starts at {v:.4g} V, outside (0, {2 * p.v_max:.4g}] V")
         if self.policy not in POLICIES:
-            raise ValueError(f"policy must be one of {', '.join(POLICIES)}, got {self.policy!r}")
+            raise ValueError(f"policy must be one of {', '.join(POLICIES)}, "
+                             f"got {reprlib.repr(self.policy)}")
         if self.max_time < 0.0 or not math.isfinite(self.max_time):
             raise ValueError("max_time must be >= 0 and finite")
         if not self.max_time + self.idle_dt > self.max_time:  # every idle step moves the clock
@@ -152,7 +155,7 @@ class ScenarioConfig:
                 f"got {self.noise_std!r}"
             )
         if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
+            raise ValueError(f"seed must be >= 0, got {reprlib.repr(self.seed)}")
         if not 0.0 < self.forgetting_factor <= 1.0:
             raise ValueError("forgetting_factor must lie in (0, 1]")
         # the longest nominal cycle runs with every cell at the lowest allowed voltage
@@ -224,7 +227,7 @@ class TraceRecord:
         if not (len(self.voltage) == len(self.current) == len(self.theta) == n):
             raise ValueError("per-cell tuples must have equal length")
         if self.candidate_bits not in _TRACE_BITS:
-            raise ValueError(f"bad candidate bits {self.candidate_bits!r}")
+            raise ValueError(f"bad candidate bits {reprlib.repr(self.candidate_bits)}")
 
 
 @dataclass(frozen=True)
@@ -332,24 +335,28 @@ class Simulation:
         self.totals = _Totals(cfg.controller.gap_threshold)  # sees every step
         self.final: Optional[TraceRecord] = None  # the state the run ended in
         self.events: list[tuple[float, str, str]] = []
-        self._in_band_violation: set[int] = set()
-        self._faulty: set[int] = set()
-        self._clamped = [False] * len(self.params)
+        self._held: dict[str, set] = {}  # event kind -> the keys it held at its last check
 
     # -- helpers ---------------------------------------------------------
 
+    def _enter(self, kind: str, keys: Sequence, detail: Callable[[Any], str]) -> None:
+        """Record ``(time, kind, detail(key))`` for each of ``keys`` that did not hold
+        at the kind's last check: a condition is recorded once, when it starts."""
+        held = self._held.get(kind, ())
+        if not keys and not held:
+            return
+        self.events += [(self.time, kind, detail(k)) for k in keys if k not in held]
+        self._held[kind] = set(keys)
+
     def _charger_current(self, rest: list[float]) -> float:
         state = self.charger_state
-        was_done, was_tripped = state.phase == "done", state.guard_tripped
         i = cc_cv_current(self.cfg.charger, sum(rest), self._r_stack, rest, state)
-        if state.guard_tripped and not was_tripped:
-            self.events.append(
-                (self.time, "charger_guard", "cell over limit, charger latched off")
-            )
-        elif state.phase == "done" and not was_done and not self._charged:
-            self.events.append(
-                (self.time, "charger", "stack at its CV setpoint before any charge, latched off")
-            )
+        if state.phase == "done":  # the latch both charger events need
+            tripped = state.guard_tripped
+            self._enter("charger_guard", [0] if tripped else [],
+                        lambda _: "cell over limit, charger latched off")
+            self._enter("charger", [] if tripped or self._charged else [0],
+                        lambda _: "stack at its CV setpoint before any charge, latched off")
         self._charged = self._charged or i != 0.0
         return i
 
@@ -367,12 +374,7 @@ class Simulation:
             j for j, v in enumerate(v_true)
             if v < self.params[j].v_min or v > self.params[j].v_max
         ]
-        for j in violated:
-            if j not in self._in_band_violation:
-                self.events.append(
-                    (self.time, "safety_band", f"cell {j} at {v_true[j]:.4f} V")
-                )
-        self._in_band_violation = set(violated)
+        self._enter("safety_band", violated, lambda j: f"cell {j} at {v_true[j]:.4f} V")
         if violated and i_ext != 0.0:
             i_ext = 0.0
             v_true = rest
@@ -387,9 +389,7 @@ class Simulation:
         # a sensor fault, not a cell state: nothing is scored or run on it, and it is
         # recorded on entry (a policy that never balances has nothing to refuse)
         faulty = [] if cfg.policy == "none" else [j for j, v in enumerate(v_meas) if not v > 0.0]
-        self.events += [(self.time, "measurement_fault", f"cell {j} read {v_meas[j]:.4f} V")
-                        for j in faulty if j not in self._faulty]
-        self._faulty = set(faulty)
+        self._enter("measurement_fault", faulty, lambda j: f"cell {j} read {v_meas[j]:.4f} V")
         if faulty:
             return None
         ident = self.identification
@@ -465,9 +465,8 @@ class Simulation:
             self.params, self._kind, self.soc, self.v1, self.v2, currents)]
         self.soc, self.v1, self.v2, clamped = map(list, zip(*stepped))
         # a cell held at a reservoir limit is recorded once, when the clamp first takes it
-        self.events += [(self.time, "saturation", f"cell {j} hit a reservoir limit")
-                        for j, hit in enumerate(clamped) if hit and not self._clamped[j]]
-        self._clamped = clamped
+        self._enter("saturation", [j for j, hit in enumerate(clamped) if hit],
+                    lambda j: f"cell {j} hit a reservoir limit")
         self.identification.advance(currents, dt, rec.soc, self.soc)
         self.time = end
         self.cycle += 1

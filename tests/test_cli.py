@@ -280,6 +280,50 @@ class TestEffectiveConfig:
         assert len(cfg.cells) == 4
 
 
+LONG = "x" * 5000
+
+
+class TestLongInputsAreEchoedShortened:
+    """Each of these inputs wrote 4 KB or more to stderr while its message quoted it in
+    full; the message keeps the key, line and field it names."""
+
+    @pytest.mark.parametrize("command, assignment, names", [
+        ("simulate", f"run.policy={LONG}", "policy must be one of"),
+        ("simulate", f"controller.prediction_source={LONG}", "prediction_source must be"),
+        ("simulate", f"charger.mode={LONG}", "charger mode must be"),
+        ("simulate", "run.seed=-" + "9" * 4000, "seed must be >= 0"),
+        ("simulate", LONG, "--set needs key=value"),
+        ("simulate", f"cells.{LONG}=1", "--set cells.xxx"),
+        ("simulate", f"{LONG}.key=1", "unknown config section 'xxx"),
+        ("simulate", f"run.{LONG}=1", "unknown key run.xxx"),
+        ("sweep", f'run.policies=["{LONG}", "{LONG}"]', "duplicate policy names"),
+    ], ids=["policy", "prediction_source", "charger_mode", "seed", "no_equals", "list_index",
+            "section", "run_key", "duplicate_policies"])
+    def test_config(self, tmp_path, capsys, command, assignment, names):
+        assert main([command, "--set", assignment, "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert names in err and len(err) < 300
+
+    @pytest.mark.parametrize("command", ["identify", "export-plots"])
+    @pytest.mark.parametrize("column, text, names", [
+        (3, "nan" + " " * 5000, "line 3: v_1 is 'nan  "),
+        (4, LONG, "line 3: i_1 is 'xxx"),
+        (26, "1" * 5000, "line 3: bad candidate bits '111"),
+    ], ids=["padded_nan", "not_a_number", "candidate_bits"])
+    def test_trace_field(self, tmp_path, capsys, command, column, text, names):
+        trace, _ = run_scenario(make_stock_scenario(max_time=3.0))
+        path = tmp_path / "t.csv"
+        write_trace(path, trace, 4)
+        lines = path.read_text().splitlines()
+        parts = lines[2].split(",")
+        parts[column] = text
+        lines[2] = ",".join(parts)
+        path.write_text("\n".join(lines) + "\n")
+        assert main([command, "--trace", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert names in err and len(err) < 300
+
+
 class TestTraceIo:
     def test_header_layout(self):
         assert trace_header(4) == HEADER_4
