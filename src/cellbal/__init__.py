@@ -7,7 +7,6 @@ from .ecm import (
     CellState,
     ocv,
     ocv_curve,
-    representative_cell_params,
     step_exact,
     terminal_voltage,
 )

@@ -35,9 +35,9 @@ from pathlib import Path
 from typing import Any, Iterable, Iterator, Sequence
 
 from .controller import ControllerConfig
-from .ecm import CellParams, CellState, representative_cell_params
+from .ecm import CellParams, CellState
 from .flyback import ConverterParams
-from .harness import ChargerConfig, ScenarioConfig, Simulation, Summary, TraceRecord
+from .harness import STOCK_SOCS, ChargerConfig, ScenarioConfig, Simulation, Summary, TraceRecord
 from . import rls
 
 
@@ -52,54 +52,41 @@ class TraceFormatError(Exception):
 # -- config handling ---------------------------------------------------------
 #
 # The dataclasses are the config schema.  Each section's keys, their order,
-# their types and their defaults come from the fields of the dataclass behind
+# their types and their defaults come from the fields of the dataclasses behind
 # it, and the domain checks stay in the dataclasses' __post_init__.
 
-DEFAULT_SOCS = (0.60, 0.50, 0.45, 0.40)
-DEFAULT_SOC = 0.5                      # a cell entry that names no soc
 DEFAULT_POLICIES = ["ampc", "greedy"]  # run.policies, the sweep-only key
 
 
-def _fields(cls: type) -> dict[str, Any]:
-    """Field name -> resolved annotation, in field order."""
-    hints = typing.get_type_hints(cls)
-    return {f.name: hints[f.name] for f in dataclasses.fields(cls)}
+def _fields(*classes: type) -> dict[str, tuple[Any, Any]]:
+    """Field name -> (resolved annotation, default), in field order, class after class."""
+    out: dict[str, tuple[Any, Any]] = {}
+    for cls in classes:
+        hints = typing.get_type_hints(cls)
+        out.update((f.name, (hints[f.name], f.default)) for f in dataclasses.fields(cls))
+    return out
 
 
-def _run_fields() -> dict[str, Any]:
+def _run_fields() -> dict[str, tuple[Any, Any]]:
     # the scalar fields of ScenarioConfig, with policies right after policy
-    out: dict[str, Any] = {}
-    for name, hint in _fields(ScenarioConfig).items():
+    out: dict[str, tuple[Any, Any]] = {}
+    for name, (hint, default) in _fields(ScenarioConfig).items():
         if hint in (float, int, bool, str):
-            out[name] = hint
+            out[name] = (hint, default)
             if name == "policy":
-                out["policies"] = list[str]
+                out["policies"] = (list[str], DEFAULT_POLICIES)
     return out
 
 
 _STATE_KEYS = tuple(_fields(CellState))
-# section -> {key: annotation}; the cells schema applies to each list entry
-_SCHEMA: dict[str, dict[str, Any]] = {
-    "cells": {**_fields(CellState), **_fields(CellParams)},
+# section -> {key: (annotation, default)}; the cells schema applies to each list entry
+_SCHEMA: dict[str, dict[str, tuple[Any, Any]]] = {
+    "cells": _fields(CellState, CellParams),
     "converter": _fields(ConverterParams),
     "charger": _fields(ChargerConfig),
     "controller": _fields(ControllerConfig),
     "run": _run_fields(),
 }
-
-
-def _defaults() -> dict[str, dict]:
-    run = {f.name: f.default for f in dataclasses.fields(ScenarioConfig)}
-    return {
-        "cells": {
-            **dataclasses.asdict(CellState(soc=DEFAULT_SOC)),
-            **dataclasses.asdict(representative_cell_params()),
-        },
-        "converter": dataclasses.asdict(ConverterParams()),
-        "charger": dataclasses.asdict(ChargerConfig()),
-        "controller": dataclasses.asdict(ControllerConfig()),
-        "run": {**run, "policies": DEFAULT_POLICIES},
-    }
 
 
 # a string literal, kept, or a // comment to the end of its line, dropped
@@ -212,7 +199,7 @@ def _coerce(hint: Any, value: Any, where: str) -> Any:
     raise AssertionError(f"no config coercion for {where}: {hint!r}")
 
 
-def _merge_section(name: str, schema: dict, defaults: dict, given: Any) -> dict:
+def _merge_section(name: str, schema: dict, given: Any) -> dict:
     if given is None:
         given = {}
     if not isinstance(given, dict):
@@ -221,8 +208,8 @@ def _merge_section(name: str, schema: dict, defaults: dict, given: Any) -> dict:
         if key not in schema:
             raise ConfigError(f"unknown key {name}.{_clip(key)}")
     return {
-        key: _coerce(hint, given.get(key, defaults[key]), f"{name}.{key}")
-        for key, hint in schema.items()
+        key: _coerce(hint, given.get(key, default), f"{name}.{key}")
+        for key, (hint, default) in schema.items()
     }
 
 
@@ -237,19 +224,17 @@ def effective_config(raw: dict) -> dict:
 
     cells_raw = raw.get("cells")
     if cells_raw is None:
-        cells_raw = [{"soc": s} for s in DEFAULT_SOCS]
+        cells_raw = [{"soc": s} for s in STOCK_SOCS]
     if not isinstance(cells_raw, list):
         raise ConfigError("section 'cells' must be a list")
-    defaults = _defaults()
     eff: dict[str, Any] = {}
     for name, schema in _SCHEMA.items():
         if name == "cells":
             eff[name] = [
-                _merge_section(f"cells[{i}]", schema, defaults[name], entry)
-                for i, entry in enumerate(cells_raw)
+                _merge_section(f"cells[{i}]", schema, entry) for i, entry in enumerate(cells_raw)
             ]
         else:
-            eff[name] = _merge_section(name, schema, defaults[name], raw.get(name))
+            eff[name] = _merge_section(name, schema, raw.get(name))
     return eff
 
 

@@ -33,7 +33,8 @@ def ocv_curve(coeffs: Sequence[float], exponent: float, soc: float) -> float:
 
 @dataclass(frozen=True)
 class CellParams:
-    """Electrical parameters of one cell.
+    """Electrical parameters of one cell; the defaults are a representative 0.8 Ah
+    cell, plausible for a small cylindrical cell but not a fit to any specific part.
 
     Units: coulombs, ohms, farads, volts.  ``ocv_coeffs`` are the five
     coefficients of :func:`ocv_curve`; ``ocv_exponent`` is its decay rate.
@@ -41,16 +42,16 @@ class CellParams:
     (None disables self-discharge entirely).
     """
 
-    capacity_coulombs: float
-    series_resistance: float
-    rc1_resistance: float
-    rc1_capacitance: float
-    rc2_resistance: float
-    rc2_capacitance: float
-    ocv_coeffs: tuple[float, float, float, float, float]
-    ocv_exponent: float
-    v_min: float
-    v_max: float
+    capacity_coulombs: float = 2880.0
+    series_resistance: float = 0.07
+    rc1_resistance: float = 0.04
+    rc1_capacitance: float = 1000.0
+    rc2_resistance: float = 0.03
+    rc2_capacitance: float = 4000.0
+    ocv_coeffs: tuple[float, float, float, float, float] = (3.2, 0.8, -0.2, 0.1, -0.15)
+    ocv_exponent: float = 20.0
+    v_min: float = 3.0
+    v_max: float = 4.2
     self_discharge_resistance: Optional[float] = None
 
     def __post_init__(self) -> None:
@@ -106,7 +107,7 @@ class CellParams:
 class CellState:
     """Dynamic state of one cell: SOC fraction and the two RC branch voltages."""
 
-    soc: float
+    soc: float = 0.5
     v1: float = 0.0
     v2: float = 0.0
 
@@ -173,26 +174,3 @@ def step_exact(params: CellParams, state: CellState, current: float,
     *end, saturated = hold_step(params, hold_factors(params, dt), state.soc, state.v1,
                                 state.v2, current, dt)
     return CellState(*end), saturated
-
-
-def representative_cell_params(**overrides) -> CellParams:
-    """A representative 0.8 Ah cell used as the package-wide default.
-
-    The numbers are plausible for a small cylindrical cell but are not a fit
-    to any specific commercial part.
-    """
-    fields = dict(
-        capacity_coulombs=2880.0,
-        series_resistance=0.07,
-        rc1_resistance=0.04,
-        rc1_capacitance=1000.0,
-        rc2_resistance=0.03,
-        rc2_capacitance=4000.0,
-        ocv_coeffs=(3.2, 0.8, -0.2, 0.1, -0.15),
-        ocv_exponent=20.0,
-        v_min=3.0,
-        v_max=4.2,
-        self_discharge_resistance=None,
-    )
-    fields.update(overrides)
-    return CellParams(**fields)

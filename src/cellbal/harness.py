@@ -17,7 +17,7 @@ import itertools
 import math
 import random
 import reprlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Optional, Sequence
 
 from . import rls
@@ -112,12 +112,16 @@ def cc_cv_current(
     return i
 
 
+STOCK_SOCS = (0.60, 0.50, 0.45, 0.40)  # the stock stack: four default cells at these SOCs
+
+
 @dataclass
 class ScenarioConfig:
-    """One fully specified closed-loop run."""
+    """One fully specified closed-loop run; ``ScenarioConfig()`` is the stock scenario."""
 
-    cells: list[tuple[CellParams, CellState]]
-    converter: ConverterParams
+    cells: list[tuple[CellParams, CellState]] = field(
+        default_factory=lambda: [(CellParams(), CellState(soc)) for soc in STOCK_SOCS])
+    converter: ConverterParams = ConverterParams()
     charger: ChargerConfig = ChargerConfig()
     policy: str = "ampc"                 # one of controller.POLICIES
     controller: ControllerConfig = ControllerConfig()
@@ -195,9 +199,10 @@ class ScenarioConfig:
         p0_max = rls.max_p0_scale(x_max, self.forgetting_factor)
         if not p0_max > 0.0:  # x_max squared overflows: no covariance keeps P definite
             leak = ", run.max_time and the leaky cells' capacity_coulombs" if leaky else ""
-            raise ValueError(f"regressor bound {x_max:.4g} overflows the estimator; it grows "
-                             "with charger.cc_current, converter.peak_current and "
-                             f"converter.turns_primary / converter.turns_secondary{leak}")
+            raise ValueError(
+                f"regressor bound {x_max:.4g} overflows the estimator; it grows with the cells' "
+                "v_max / v_min, charger.cc_current, converter.peak_current and "
+                f"converter.turns_primary / converter.turns_secondary{leak}")
         if not 0.0 < self.initial_covariance <= p0_max:
             raise ValueError(
                 f"initial_covariance must lie in (0, {p0_max:.4g}] for this scenario's "

@@ -10,14 +10,12 @@ from pathlib import Path
 from hypothesis import strategies as st
 
 from cellbal import (
+    CellParams,
     CellState,
     ConverterParams,
     ScenarioConfig,
-    representative_cell_params,
     rls,
 )
-
-STOCK_SOCS = (0.60, 0.50, 0.45, 0.40)
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
@@ -48,16 +46,9 @@ def run_cli(*args, cwd, timeout=None) -> subprocess.CompletedProcess:
 
 
 def make_stock_scenario(policy: str = "ampc", **overrides) -> ScenarioConfig:
-    """The default four-cell scenario: identical cells on the stock SOC ladder,
-    10 mH converter, CC-CV charger, everything else at package defaults."""
-    cells = [(representative_cell_params(), CellState(soc=s)) for s in STOCK_SOCS]
-    kwargs = dict(
-        cells=cells,
-        converter=ConverterParams(magnetizing_inductance=0.01),
-        policy=policy,
-    )
-    kwargs.update(overrides)
-    return ScenarioConfig(**kwargs)
+    """The stock four-cell scenario, ``ScenarioConfig()``, under ``policy`` and with
+    any other field overridden."""
+    return ScenarioConfig(policy=policy, **overrides)
 
 
 # Converters from 0.1 mH to 100 mH and any turns, an idle one (zero peak) included.
@@ -76,7 +67,7 @@ def leaky_cells(draw, n):
     converter cycle or a second of charge moves them past a reservoir limit, at SOCs
     that include both limits and with charged RC branches."""
     def cell():
-        params = representative_cell_params(
+        params = CellParams(
             capacity_coulombs=draw(st.just(2.0) | st.floats(2.0, 3000.0)),
             self_discharge_resistance=draw(st.none() | st.floats(10.0, 1e6)),
             v_max=6.0,
@@ -99,9 +90,9 @@ def scoring_states(draw, sizes=st.integers(4, 8)):
     def cells(values):
         return draw(st.lists(values, min_size=n, max_size=n))
 
-    warm = rls.warm_start_theta(representative_cell_params())
+    warm = rls.warm_start_theta(CellParams())
     theta = cells(st.tuples(*(st.floats(t - 1.0, t + 1.0) for t in warm)))
-    params = representative_cell_params()
+    params = CellParams()
     return dict(
         conv=draw(CONVERTERS),
         voltages=cells(st.floats(2.8, 4.4)),

@@ -12,11 +12,11 @@ import numpy as np
 import pytest
 
 from cellbal import (
+    CellParams,
     CellState,
     ControllerConfig,
     ConverterParams,
     SwitchPlan,
-    representative_cell_params,
     rls,
     run_scenario,
     step_exact,
@@ -160,6 +160,18 @@ class TestPolicyComparison:
     def test_greedy_matches_golden(self, greedy_result):
         trace, summary = greedy_result
         self._check_golden(trace, summary, GREEDY_GOLDEN)
+
+    def test_readme_library_example_runs_the_stock_scenario(self, capsys):
+        # the README's "Library use" block as written: ScenarioConfig() is the stock run
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        section = readme.split("## Library use", 1)[1]
+        block = section.split("```python\n", 1)[1].split("```", 1)[0]
+        namespace = {}
+        exec(block, namespace)
+        summary = namespace["summary"]
+        self._check_golden(namespace["trace"], summary, AMPC_GOLDEN)
+        printed = f"{summary.completion_time} {summary.final_voltage_spread}\n"
+        assert capsys.readouterr().out == printed
 
 
 @pytest.fixture(scope="module")
@@ -322,7 +334,7 @@ class TestIntegratorExactness:
         out = []
         for _ in range(count):
             r_sd = float(rng.uniform(2e4, 2e5)) if rng.random() < 0.5 else None
-            p = representative_cell_params(self_discharge_resistance=r_sd)
+            p = CellParams(self_discharge_resistance=r_sd)
             s = CellState(
                 soc=float(rng.uniform(0.2, 0.8)),
                 v1=float(rng.uniform(-0.05, 0.05)),
@@ -353,7 +365,7 @@ class TestIntegratorExactness:
 
     def test_coulomb_bookkeeping(self):
         rng = np.random.default_rng(47)
-        p = representative_cell_params()
+        p = CellParams()
         for _ in range(20):
             s = CellState(soc=0.5)
             expected = 0.5

@@ -30,7 +30,6 @@ from cellbal import (
     Simulation,
     TraceRecord,
     harness,
-    representative_cell_params,
     rls,
     run_scenario,
     std,
@@ -273,6 +272,16 @@ class TestEffectiveConfig:
         eff = effective_config({"cells": [{"series_resistance": -1.0}] * 4})
         with pytest.raises(ConfigError):
             build_scenario(eff)
+
+    def test_empty_config_builds_the_default_scenario(self):
+        # every default lives in its dataclass field, so the CLI adds none of its own
+        built, stock = build_scenario(effective_config({})), ScenarioConfig()
+        for f in dataclasses.fields(ScenarioConfig):
+            assert getattr(built, f.name) == getattr(stock, f.name), f.name
+
+    def test_empty_cell_entry_is_the_default_cell(self):
+        cfg = build_scenario(effective_config({"cells": [{}] * 4}))
+        assert cfg.cells == [(CellParams(), CellState())] * 4
 
     def test_build_scenario_policy_override(self):
         cfg = build_scenario(effective_config({}), policy="greedy")
@@ -546,7 +555,8 @@ class TestSimulateCommand:
         "converter.turns_primary=1" + "0" * 300,
         "converter.turns_primary=1" + "0" * 308,
         "charger.cc_current=-1e300",
-    ], ids=["turns_primary=1e300", "turns_primary=1e308", "cc_current=-1e300"])
+        "cells.0.v_max=1e300",  # the bound's voltage ratio is 2 * max v_max / min v_min
+    ], ids=["turns_primary=1e300", "turns_primary=1e308", "cc_current=-1e300", "v_max=1e300"])
     def test_overflowing_regressor_bound_names_its_inputs(self, tmp_path, capsys, assignment):
         # a finite bound whose square overflows leaves no initial_covariance to choose
         assert main(["simulate", "--set", assignment, "--set", "run.max_time=1",
@@ -554,6 +564,7 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert "converter.turns_primary / converter.turns_secondary" in err
         assert "charger.cc_current" in err and "initial_covariance" not in err
+        assert "the cells' v_max / v_min" in err
 
     def test_huge_inductance_exits_2(self, tmp_path):
         r = cli(
@@ -1091,7 +1102,7 @@ GENERATED_RUNS = st.fixed_dictionaries({
 
 
 def _generated_scenario(run, **overrides) -> ScenarioConfig:
-    cells = [(representative_cell_params(), CellState(soc=s)) for s in run["socs"]]
+    cells = [(CellParams(), CellState(soc=s)) for s in run["socs"]]
     return make_stock_scenario(
         run["policy"], cells=cells, noise_std=run["noise_std"], seed=run["seed"],
         warm_start=run["warm_start"], max_time=run["max_time"], **overrides,
@@ -1247,7 +1258,7 @@ class TestSaturatingRuns:
 
     def test_the_accumulator_stops_at_the_clamp(self):
         # a full cell charged for 100 s: the charge the clamp refuses is not counted
-        cells = [(representative_cell_params(capacity_coulombs=10.0, v_max=6.0), CellState(1.0))]
+        cells = [(CellParams(capacity_coulombs=10.0, v_max=6.0), CellState(1.0))]
         charger = ChargerConfig(cv_cell_voltage=5.9, cell_voltage_limit=6.0)
         sim = Simulation(make_stock_scenario("none", cells=cells * 4, charger=charger,
                                              max_time=100.0))

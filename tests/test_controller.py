@@ -13,6 +13,7 @@ from scipy.optimize import brentq
 import cellbal.controller as controller
 import cellbal.harness as harness
 from cellbal import (
+    CellParams,
     CellState,
     ControllerConfig,
     ConverterParams,
@@ -20,7 +21,6 @@ from cellbal import (
     predict_stds,
     predict_stds_plant,
     rank_cells,
-    representative_cell_params,
     rls,
     select_plan,
     should_balance,
@@ -73,7 +73,7 @@ def random_scoring_states(count: int, seed: int):
     """Random active decision inputs: cell voltages, RLS models scattered
     around the warm start, charge accumulators, capacities, charger current."""
     rng = np.random.default_rng(seed)
-    theta0 = rls.warm_start_theta(representative_cell_params())
+    theta0 = rls.warm_start_theta(CellParams())
     states = []
     while len(states) < count:
         voltages = tuple(float(v) for v in rng.uniform(3.4, 4.15, size=4))
@@ -249,7 +249,7 @@ class TestPredictions:
         # one cell 50 mV above three equal ones: every schedule drains the
         # outlier and charges the stack evenly, so no prediction can exceed
         # the do-nothing spread
-        p = representative_cell_params()
+        p = CellParams()
         v_base = ocv(p, 0.5)
         soc_hi = brentq(lambda s: ocv(p, s) - (v_base + 0.05), 0.5, 0.9, xtol=1e-15)
         plant = flat_plant([
@@ -385,7 +385,7 @@ class TestVectorizedScoring:
             assert k == reference_pick(ref, rel=1e-12)
 
     def test_window_swap_ties_are_exact_for_both_sources(self):
-        p = representative_cell_params()
+        p = CellParams()
         rng = np.random.default_rng(7)
         for voltages, ests, accumulators, capacities, i_ext in self.STATES[:40]:
             ranking = rank_cells(voltages)

@@ -12,7 +12,6 @@ from cellbal import (
     CellState,
     ocv,
     ocv_curve,
-    representative_cell_params,
     step_exact,
     terminal_voltage,
 )
@@ -33,19 +32,19 @@ class TestOcvCurve:
         assert got == pytest.approx(3.9 + 0.15 * math.exp(-20.0), rel=1e-15)
 
     def test_ocv_delegates_to_curve(self):
-        p = representative_cell_params()
+        p = CellParams()
         for s in (0.0, 0.3, 0.77, 1.0):
             assert ocv(p, s) == ocv_curve(p.ocv_coeffs, p.ocv_exponent, s)
 
     @pytest.mark.parametrize("soc", [-0.01, 1.01, 2.0])
     def test_ocv_domain(self, soc):
         with pytest.raises(ValueError):
-            ocv(representative_cell_params(), soc)
+            ocv(CellParams(), soc)
 
 
 class TestCellParams:
     def test_defaults_accepted_and_monotone(self):
-        p = representative_cell_params()
+        p = CellParams()
         grid = [ocv(p, k / 999) for k in range(1000)]
         assert all(b > a for a, b in zip(grid, grid[1:]))
 
@@ -71,7 +70,7 @@ class TestCellParams:
     )
     def test_positivity_rejections(self, field, value):
         with pytest.raises(ValueError):
-            representative_cell_params(**{field: value})
+            CellParams(**{field: value})
 
     @pytest.mark.parametrize(
         "fields,name",
@@ -88,11 +87,11 @@ class TestCellParams:
         # each factor is positive, but their product rounds to 0 and step_exact
         # would divide by it
         with pytest.raises(ValueError, match=f"{name} time constant R\\*C must be positive"):
-            representative_cell_params(**fields)
+            CellParams(**fields)
 
     def test_voltage_band_ordering(self):
         with pytest.raises(ValueError, match="v_min"):
-            representative_cell_params(v_min=4.2, v_max=4.2)
+            CellParams(v_min=4.2, v_max=4.2)
 
     @pytest.mark.parametrize(
         "coeffs,soc",
@@ -108,7 +107,7 @@ class TestCellParams:
     )
     def test_non_monotone_curve_rejected(self, coeffs, soc):
         with pytest.raises(ValueError, match=f"increasing on .*; violated near soc={soc}$"):
-            representative_cell_params(ocv_coeffs=coeffs)
+            CellParams(ocv_coeffs=coeffs)
 
     def test_monotonicity_check_matches_the_pointwise_loop(self):
         # the array check accepts and rejects exactly the curves a scalar scan
@@ -121,21 +120,21 @@ class TestCellParams:
             grid = [ocv_curve(coeffs, 20.0, k / 999) for k in range(1000)]
             fall = next((k for k in range(1, 1000) if not grid[k] > grid[k - 1]), None)
             if fall is None:
-                representative_cell_params(ocv_coeffs=coeffs)
+                CellParams(ocv_coeffs=coeffs)
             else:
                 rejected += 1
                 with pytest.raises(ValueError, match=f"soc={fall / 999:.4f}$"):
-                    representative_cell_params(ocv_coeffs=coeffs)
+                    CellParams(ocv_coeffs=coeffs)
         assert 30 <= rejected <= 270
 
     def test_coefficient_count(self):
         with pytest.raises(ValueError, match="5"):
-            representative_cell_params(ocv_coeffs=(3.2, 0.8, -0.2, 0.1))
+            CellParams(ocv_coeffs=(3.2, 0.8, -0.2, 0.1))
 
     def test_optional_self_discharge(self):
-        p = representative_cell_params(self_discharge_resistance=5e4)
+        p = CellParams(self_discharge_resistance=5e4)
         assert p.self_discharge_resistance == 5e4
-        assert representative_cell_params().self_discharge_resistance is None
+        assert CellParams().self_discharge_resistance is None
 
 
 class TestStateAndMeasurement:
@@ -157,36 +156,36 @@ class TestStateAndMeasurement:
 
 class TestTerminalVoltage:
     def test_rest_equals_ocv(self):
-        p = representative_cell_params()
+        p = CellParams()
         s = CellState(soc=0.6)
         assert terminal_voltage(p, s, 0.0) == ocv(p, 0.6)
 
     def test_ohmic_drop(self):
-        p = representative_cell_params()
+        p = CellParams()
         s = CellState(soc=0.6)
         assert terminal_voltage(p, s, 1.0) == pytest.approx(ocv(p, 0.6) - 0.07, rel=1e-15)
 
     def test_superposition_of_drops(self):
-        p = representative_cell_params(series_resistance=0.05)
+        p = CellParams(series_resistance=0.05)
         s = CellState(soc=0.6, v1=0.01, v2=0.02)
         assert terminal_voltage(p, s, 2.0) == pytest.approx(ocv(p, 0.6) - 0.13, rel=1e-14)
 
 
 class TestStepExact:
     def test_zero_current_at_rest_is_identity(self):
-        p = representative_cell_params()
+        p = CellParams()
         s = CellState(soc=0.5)
         for dt in (1.0, 400.0, 1e6):
             out, saturated = step_exact(p, s, 0.0, dt)
             assert out == s and not saturated
 
     def test_coulomb_counting_delta(self):
-        p = representative_cell_params()  # 2880 C
+        p = CellParams()  # 2880 C
         out, _ = step_exact(p, CellState(soc=0.5), 0.8, 36.0)
         assert out.soc == pytest.approx(0.49, abs=1e-15)
 
     def test_rc_step_response(self):
-        p = representative_cell_params()
+        p = CellParams()
         out, _ = step_exact(p, CellState(soc=0.5), 1.0, 400.0)
         assert out.v1 == pytest.approx(0.04 * (1.0 - math.exp(-10.0)), rel=1e-15)
         assert out.v2 == pytest.approx(0.03 * (1.0 - math.exp(-400.0 / 120.0)), rel=1e-15)
@@ -194,22 +193,22 @@ class TestStepExact:
     @pytest.mark.parametrize("dt", [0.0, -5.0, math.inf, math.nan])
     def test_bad_dt(self, dt):
         with pytest.raises(ValueError):
-            step_exact(representative_cell_params(), CellState(soc=0.5), 1.0, dt)
+            step_exact(CellParams(), CellState(soc=0.5), 1.0, dt)
 
     def test_bad_current(self):
         with pytest.raises(ValueError):
-            step_exact(representative_cell_params(), CellState(soc=0.5), math.nan, 1.0)
+            step_exact(CellParams(), CellState(soc=0.5), math.nan, 1.0)
 
     def test_saturation_high(self):
-        out, saturated = step_exact(representative_cell_params(), CellState(soc=0.999), -0.4, 36.0)
+        out, saturated = step_exact(CellParams(), CellState(soc=0.999), -0.4, 36.0)
         assert saturated and out.soc == 1.0
 
     def test_saturation_low(self):
-        out, saturated = step_exact(representative_cell_params(), CellState(soc=0.001), 0.4, 36.0)
+        out, saturated = step_exact(CellParams(), CellState(soc=0.001), 0.4, 36.0)
         assert saturated and out.soc == 0.0
 
     def test_self_discharge_decay(self):
-        p = representative_cell_params(self_discharge_resistance=1e4)
+        p = CellParams(self_discharge_resistance=1e4)
         tau = 1e4 * p.capacity_coulombs
         out, _ = step_exact(p, CellState(soc=0.8), 0.0, 1e6)
         assert out.soc == pytest.approx(0.8 * math.exp(-1e6 / tau), rel=1e-14)
@@ -224,7 +223,7 @@ class TestStepProperties:
         rng = np.random.default_rng(42)
         for k in range(200):
             r_sd = 5e4 if k % 2 else None
-            p = representative_cell_params(self_discharge_resistance=r_sd)
+            p = CellParams(self_discharge_resistance=r_sd)
             s = CellState(
                 soc=rng.uniform(0.2, 0.8),
                 v1=rng.uniform(-0.05, 0.05),
@@ -242,7 +241,7 @@ class TestStepProperties:
     @pytest.mark.parametrize("r_sd", [None, 5e4])
     def test_euler_oracle_convergence(self, dt, r_sd):
         # first-order reference at h = dt/1e4 must land within 1e-6 V
-        p = representative_cell_params(self_discharge_resistance=r_sd)
+        p = CellParams(self_discharge_resistance=r_sd)
         s = CellState(soc=0.6, v1=0.01, v2=-0.005)
         for current in (-1.5, 0.8):
             exact, _ = step_exact(p, s, current, dt)
@@ -254,7 +253,7 @@ class TestStepProperties:
     def test_coulomb_bookkeeping(self):
         # error is measured against the gross turnover: the net sum can
         # cancel to arbitrarily few coulombs and has no stable scale
-        p = representative_cell_params()
+        p = CellParams()
         rng = np.random.default_rng(7)
         for _ in range(20):
             s = CellState(soc=0.5)

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cellbal import (
+    CellParams,
     CellState,
     ChargerConfig,
     ChargerState,
@@ -24,7 +25,6 @@ from cellbal import (
     cc_cv_current,
     cycle_charge_deltas,
     rank_cells,
-    representative_cell_params,
     rls,
     run_scenario,
     select_plan,
@@ -154,14 +154,14 @@ class TestGreedyBaseline:
 
 class TestScenarioConfig:
     def test_too_few_cells(self):
-        cells = [(representative_cell_params(), CellState(soc=0.5))] * 3
+        cells = [(CellParams(), CellState(soc=0.5))] * 3
         with pytest.raises(ValueError, match="at least 4"):
             ScenarioConfig(cells=cells, converter=ConverterParams(magnetizing_inductance=0.01))
 
     @pytest.mark.parametrize("n", [5, 6])
     def test_cell_list_sets_the_stack_size(self, n, tmp_path):
         # the default converter runs any stack; its trace rows hold every cell
-        cells = [(representative_cell_params(), CellState(soc=0.6 - 0.04 * j)) for j in range(n)]
+        cells = [(CellParams(), CellState(soc=0.6 - 0.04 * j)) for j in range(n)]
         trace, _ = run_scenario(
             ScenarioConfig(cells=cells, converter=ConverterParams(), max_time=2.0)
         )
@@ -206,8 +206,8 @@ class TestScenarioConfig:
     @pytest.mark.parametrize("v1", [1e200, -1e200, 3.7, -4.8])
     def test_starting_rest_voltage_must_lie_in_band(self, v1):
         # stock cells rest at 3.63 V at soc 0.6 and allow up to 2 * 4.2 V
-        cells = [(representative_cell_params(), CellState(soc=0.6, v1=v1))]
-        cells += [(representative_cell_params(), CellState(soc=0.6)) for _ in range(3)]
+        cells = [(CellParams(), CellState(soc=0.6, v1=v1))]
+        cells += [(CellParams(), CellState(soc=0.6)) for _ in range(3)]
         with pytest.raises(ValueError, match="cell 0 starts at"):
             make_stock_scenario(cells=cells)
 
@@ -248,10 +248,10 @@ class TestScenarioConfig:
             ("series_resistance", 0.5999, 0.6),
             ("capacity_coulombs", drained * 1.001, drained),
         ):
-            ok_cell = representative_cell_params(**{field: ok})
+            ok_cell = CellParams(**{field: ok})
             ScenarioConfig(cells=[(ok_cell, CellState(soc=0.5))] * 4, converter=conv)
-            bad_cell = representative_cell_params(**{field: bad})
-            cells = [(representative_cell_params(), CellState(soc=0.5))] * 3
+            bad_cell = CellParams(**{field: bad})
+            cells = [(CellParams(), CellState(soc=0.5))] * 3
             with pytest.raises(ValueError, match=f"cell 3 {field}"):
                 ScenarioConfig(cells=cells + [(bad_cell, CellState(soc=0.5))], converter=conv)
 
@@ -331,7 +331,7 @@ class TestRunScenario:
 
     def test_saturation_event(self):
         cells = [
-            (representative_cell_params(), CellState(soc=0.999)) for _ in range(4)
+            (CellParams(), CellState(soc=0.999)) for _ in range(4)
         ]
         cfg = make_stock_scenario(
             "none",
@@ -348,7 +348,7 @@ class TestRunScenario:
     def test_saturation_is_recorded_once_per_entry(self):
         # four full 10 C cells charged for 20 000 s sit at the clamp from the first step
         # to the last: one entry each, not one event per step
-        cells = [(representative_cell_params(capacity_coulombs=10.0, v_max=6.0), CellState(1.0))]
+        cells = [(CellParams(capacity_coulombs=10.0, v_max=6.0), CellState(1.0))]
         charger = ChargerConfig(cv_cell_voltage=5.9, cell_voltage_limit=6.0)
         sim = Simulation(make_stock_scenario("none", cells=cells * 4, charger=charger,
                                              max_time=20000.0))
@@ -358,8 +358,8 @@ class TestRunScenario:
                               for j in range(4)]
 
     def test_safety_band_event_cuts_external_current(self):
-        cells = [(representative_cell_params(v_max=3.58), CellState(soc=0.6))]
-        cells += [(representative_cell_params(), CellState(soc=0.6)) for _ in range(3)]
+        cells = [(CellParams(v_max=3.58), CellState(soc=0.6))]
+        cells += [(CellParams(), CellState(soc=0.6)) for _ in range(3)]
         cfg = make_stock_scenario("none", cells=cells, max_time=5.0)
         sim = Simulation(cfg)
         trace = list(sim.stream())
@@ -381,7 +381,7 @@ class TestRunScenario:
 
     def test_saturation_is_recorded_again_on_re_entry(self):
         # a charging cell set full before a step hits the clamp; set back to half, it leaves
-        cells = [(representative_cell_params(v_max=6.0), CellState(0.5))] * 4
+        cells = [(CellParams(v_max=6.0), CellState(0.5))] * 4
         charger = ChargerConfig(cv_cell_voltage=5.9, cell_voltage_limit=6.0)
         sim = Simulation(make_stock_scenario("none", cells=cells, charger=charger))
         times = []
@@ -398,7 +398,7 @@ class TestRunScenario:
     @example(cv_cell_voltage=3.0, limit=3.6, socs=[0.6] * 4)  # both latch at the first step
     def test_guard_and_early_stop_are_never_recorded_for_one_step(self, cv_cell_voltage,
                                                                    limit, socs):
-        cells = [(representative_cell_params(), CellState(soc=s)) for s in socs]
+        cells = [(CellParams(), CellState(soc=s)) for s in socs]
         charger = ChargerConfig(cv_cell_voltage=cv_cell_voltage, cell_voltage_limit=limit)
         sim = Simulation(make_stock_scenario("none", cells=cells, charger=charger,
                                              max_time=5.0))
@@ -410,7 +410,7 @@ class TestRunScenario:
     def test_charger_guard_ends_run_immediately(self):
         cfg = make_stock_scenario(
             "none",
-            cells=[(representative_cell_params(), CellState(soc=0.6)) for _ in range(4)],
+            cells=[(CellParams(), CellState(soc=0.6)) for _ in range(4)],
             charger=ChargerConfig(cell_voltage_limit=3.6),
             max_time=100.0,
         )
@@ -421,7 +421,7 @@ class TestRunScenario:
         assert sim.time == 0.0
 
     def test_six_cell_stack_draws_charger_current(self):
-        cells = [(representative_cell_params(), CellState(soc=0.6 - 0.04 * j)) for j in range(6)]
+        cells = [(CellParams(), CellState(soc=0.6 - 0.04 * j)) for j in range(6)]
         sim = Simulation(make_stock_scenario(cells=cells, max_time=20.0))
         trace = list(sim.stream())
         assert trace and all(rec.charger_current == -0.4 for rec in trace)
@@ -438,7 +438,7 @@ class TestRunScenario:
     @given(st.lists(st.floats(0.05, 0.75), min_size=4, max_size=12))
     def test_generated_stacks_below_the_setpoint_draw_cc_current(self, socs):
         # each cell rests under 3.77 V, so it sits under 3.8 V at the CC current
-        cells = [(representative_cell_params(), CellState(soc=s)) for s in socs]
+        cells = [(CellParams(), CellState(soc=s)) for s in socs]
         rec = Simulation(make_stock_scenario(cells=cells, max_time=1.0)).step()
         assert rec.charger_current == ChargerConfig().cc_current
 
@@ -517,7 +517,7 @@ class TestWholeRuns:
         st.floats(0.2, 0.75), st.floats(1500.0, 4000.0), st.floats(0.05, 0.1)),
         min_size=n, max_size=n)), st.sampled_from(POLICIES))
     def test_identified_charge_is_the_soc_change(self, cells, policy):
-        stack = [(representative_cell_params(capacity_coulombs=c, series_resistance=r),
+        stack = [(CellParams(capacity_coulombs=c, series_resistance=r),
                   CellState(soc=s)) for s, c, r in cells]
         sim = Simulation(make_stock_scenario(policy, cells=stack, max_time=10.0))
         list(sim.stream())
@@ -530,7 +530,7 @@ class TestWholeRuns:
     @given(st.integers(4, 8), st.floats(0.2, 0.75), st.floats(1500.0, 4000.0),
            st.sampled_from(POLICIES), st.sampled_from(["cc_cv", "idle"]))
     def test_identical_cells_at_one_soc_never_balance(self, n, soc, capacity, policy, mode):
-        cell = (representative_cell_params(capacity_coulombs=capacity), CellState(soc=soc))
+        cell = (CellParams(capacity_coulombs=capacity), CellState(soc=soc))
         sim = Simulation(make_stock_scenario(policy, cells=[cell] * n, max_time=30.0,
                                              charger=ChargerConfig(mode=mode)))
         trace = list(sim.stream())
@@ -552,7 +552,7 @@ class TestWholeRuns:
         # the estimator carries that rounding forward, most under greedy, so θ agree to
         # 2.3e-10 in 30 s runs and drift to 7.5e-6 by 120 s (seen).
         socs, capacities, resistances, order = stack
-        cells = [(representative_cell_params(capacity_coulombs=c, series_resistance=r),
+        cells = [(CellParams(capacity_coulombs=c, series_resistance=r),
                   CellState(soc=k / 100)) for k, c, r in zip(socs, capacities, resistances)]
         (trace, summary), (permuted, permuted_summary) = (
             run_scenario(make_stock_scenario(policy, cells=listed, max_time=20.0))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cellbal import ConverterParams, ocv, representative_cell_params, rls, warm_start_theta
+from cellbal import CellParams, ConverterParams, ocv, rls, warm_start_theta
 from cellbal.flyback import distinct_cycles
 from conftest import CONVERTERS
 from oracles import build_regressor, numpy_predict, numpy_rls_update
@@ -74,7 +74,7 @@ class TestInit:
                 rls.init(theta0, 1e6, 1.0)
 
     def test_warm_start_values(self):
-        p = representative_cell_params()
+        p = CellParams()
         theta = warm_start_theta(p)
         expected = [-p.series_resistance, -(ocv(p, 1.0) - ocv(p, 0.0)), ocv(p, 0.5)]
         assert theta == pytest.approx(expected, rel=1e-15)
@@ -110,7 +110,7 @@ class TestBuildRegressor:
     def test_capacity_domain(self, capacity):
         # capacities enter through CellParams, which refuses a non-positive one
         with pytest.raises(ValueError, match="capacity_coulombs"):
-            representative_cell_params(capacity_coulombs=capacity)
+            CellParams(capacity_coulombs=capacity)
 
 
 class TestUpdate:
@@ -261,7 +261,7 @@ class TestPredict:
         # regressors and models of a cell's size: currents to 10 A, q/C to 2,
         # theta about the warm start, so no prediction cancels to near zero
         rng = np.random.default_rng(seed)
-        warm = warm_start_theta(representative_cell_params())
+        warm = warm_start_theta(CellParams())
         est = rls.init(warm + rng.uniform(-1.0, 1.0, size=(n, 3)), 1.0, 1.0)
         currents, capacities = rng.uniform(-10.0, 10.0, (n, rows)), rng.uniform(2e3, 4e3, n)
         charges = rng.uniform(-2.0, 2.0, (n, rows)) * capacities[:, None]
@@ -290,7 +290,7 @@ class TestFold:
         # cell-sized models, currents and charges as TestPredict draws them, over the
         # length of a real cycle: an idle converter's (zero peak) lasts 0 s
         rng = np.random.default_rng(seed)
-        warm = warm_start_theta(representative_cell_params())
+        warm = warm_start_theta(CellParams())
         est = rls.init(warm + rng.uniform(-1.0, 1.0, size=(n, 3)), 1.0, 1.0)
         currents, capacities = rng.uniform(-10.0, 10.0, (n, rows)), rng.uniform(2e3, 4e3, n)
         charges = rng.uniform(-2.0, 2.0, n) * capacities
