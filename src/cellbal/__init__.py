@@ -11,7 +11,7 @@ from .ecm import (
     terminal_voltage,
 )
 from .rls import Identification, RlsEstimator, init, update, warm_start_theta
-from .flyback import ConverterParams, SwitchPlan, compute_t_on, cycle_charge_deltas
+from .flyback import ConverterParams, SwitchPlan, cycle_charge_deltas
 from .controller import (
     ControllerConfig,
     Decision,

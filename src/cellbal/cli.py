@@ -632,16 +632,17 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, *, trace: bool, dump: bool) -> None:
-        p.add_argument("--config", help="JSON config file (// comments allowed)")
+    def common(p: argparse.ArgumentParser, *, trace: bool, dump: bool, config: bool = True) -> None:
         p.add_argument("--out", help="output directory (default: timestamped under runs/)")
-        p.add_argument(
-            "--set",
-            action="append",
-            default=[],
-            metavar="KEY=VALUE",
-            help="override a config entry, e.g. run.max_time=100 or cells.0.soc=0.5",
-        )
+        if config:
+            p.add_argument("--config", help="JSON config file (// comments allowed)")
+            p.add_argument(
+                "--set",
+                action="append",
+                default=[],
+                metavar="KEY=VALUE",
+                help="override a config entry, e.g. run.max_time=100 or cells.0.soc=0.5",
+            )
         if trace:
             p.add_argument("--trace", help="input trace.csv to process")
         if dump:
@@ -665,7 +666,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ident.set_defaults(func=cmd_identify)
 
     p_plots = sub.add_parser("export-plots", help="emit tidy CSVs for plotting")
-    common(p_plots, trace=True, dump=False)
+    common(p_plots, trace=True, dump=False, config=False)
     p_plots.set_defaults(func=cmd_export_plots)
     return parser
 

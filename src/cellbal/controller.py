@@ -21,7 +21,7 @@ from operator import itemgetter
 from typing import Optional, Sequence
 
 from . import rls
-from .ecm import CellParams, hold_factors, hold_step, ocv_curve
+from .ecm import CellParams, hold_factors, hold_step, terminal_voltage
 from .flyback import CYCLE_OF, ConverterParams, SwitchPlan, distinct_cycles
 
 # The 9 distinct cycles' scores as the 16 schedules' scores, in schedule order.
@@ -135,8 +135,8 @@ def predict_stds_plant(
         factors = hold_factors(params, duration) if duration > 0.0 else None
         ends = [hold_step(params, factors, soc, v1, v2, external_current - d / duration,
                           duration) if factors else (soc, v1, v2, False) for d in cell]
-        predicted.append([ocv_curve(params.ocv_coeffs, params.ocv_exponent, soc) - v1 - v2
-                          - params.series_resistance * external_current for soc, v1, v2, _ in ends])
+        predicted.append([terminal_voltage(params, soc, v1, v2, external_current)
+                          for soc, v1, v2, _ in ends])
     scores = [std(cycle) for cycle in zip(*predicted)]
     return _BY_SCHEDULE(scores)
 

@@ -125,9 +125,9 @@ def ocv(params: CellParams, soc: float) -> float:
     return ocv_curve(params.ocv_coeffs, params.ocv_exponent, soc)
 
 
-def terminal_voltage(params: CellParams, state: CellState, current: float) -> float:
-    """Terminal voltage under the given instantaneous current."""
-    return ocv(params, state.soc) - state.v1 - state.v2 - params.series_resistance * current
+def terminal_voltage(params: CellParams, soc: float, v1: float, v2: float, current: float) -> float:
+    """Terminal voltage of a cell at (soc, v1, v2) under the given instantaneous current."""
+    return ocv(params, soc) - v1 - v2 - params.series_resistance * current
 
 
 def hold_factors(params: CellParams, dt: float) -> tuple:

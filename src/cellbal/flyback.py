@@ -184,21 +184,6 @@ class CycleResult:
     timing: CycleTiming
 
 
-def compute_t_on(conv: ConverterParams, v_cell: float) -> float:
-    """On-time that ramps the target winding to the peak current: L*I/v."""
-    if not v_cell > 0.0:
-        raise ValueError(f"cell voltage must be positive, got {v_cell!r}")
-    return conv.magnetizing_inductance * conv.peak_current / v_cell
-
-
-def nominal_cycle(conv: ConverterParams, n: int, v_floor: float) -> tuple[float, float]:
-    """Length and target drain (coulombs) of a target-only cycle on ``n`` cells all at
-    ``v_floor``: the on-time plus the tail in which the peak freewheels into the stack."""
-    tail = 1.0 + conv.turns_secondary / (conv.turns_primary * n)
-    length = conv.magnetizing_inductance * conv.peak_current * tail / v_floor
-    return length, 0.5 * conv.peak_current * compute_t_on(conv, v_floor)
-
-
 def _activity_pieces(v_over_l: float, on1: bool, on2: bool, half: float, fw_slope: float):
     """Linear pieces (ta, tb, ia, ib, conducting) for one switched winding."""
     t_on = 2.0 * half
@@ -250,7 +235,7 @@ def simulate_cycle(
     n, l_m = len(cell_voltages), conv.magnetizing_inductance
     cells = (plan.target_cell, plan.second_cell, plan.third_cell)
     half, ratio, fw_slope = _cycle_constants(conv, cell_voltages, cells)
-    t_on = compute_t_on(conv, cell_voltages[plan.target_cell])
+    t_on = 2.0 * half
 
     if t_on == 0.0:
         zero = PiecewiseLinear((0.0,), (0.0,))
@@ -339,7 +324,8 @@ def simulate_cycle(
 
 
 def _cycle_constants(conv: ConverterParams, cell_voltages: Sequence[float], cells):
-    """Half on-time, turns ratio and freewheel slope (A/s) of a cycle targeting ``cells[0]``."""
+    """Half on-time, turns ratio and freewheel slope (A/s) of a cycle targeting ``cells[0]``;
+    the on-time L*I/v ramps the target winding to the peak current."""
     n = len(cell_voltages)
     for v in cell_voltages:
         if not v > 0.0:
@@ -349,7 +335,10 @@ def _cycle_constants(conv: ConverterParams, cell_voltages: Sequence[float], cell
             raise ValueError(f"plan cell {idx} out of range for {n} cells")
     ratio = conv.turns_primary / conv.turns_secondary
     fw_slope = ratio * sum(cell_voltages) / conv.magnetizing_inductance
-    return 0.5 * compute_t_on(conv, cell_voltages[cells[0]]), ratio, fw_slope
+    if not fw_slope > 0.0:  # a winding would never shed its current
+        raise ValueError("turns ratio times stack voltage over inductance underflows to 0")
+    half = 0.5 * (conv.magnetizing_inductance * conv.peak_current / cell_voltages[cells[0]])
+    return half, ratio, fw_slope
 
 
 def _winding(v_cell, window, off_at, half, l_m, fw_slope):

@@ -368,7 +368,7 @@ def numpy_predict_stds_plant(ranking, plant, external_current, conv, voltages) -
     for j, (params, state) in enumerate(plant_pairs(plant)):
         for k, (current, dt) in enumerate(zip(currents[:, j].tolist(), duration.tolist())):
             end = step_exact(params, state, current, dt)[0] if dt > 0.0 else state
-            predicted[k, j] = terminal_voltage(params, end, external_current)
+            predicted[k, j] = terminal_voltage(params, end.soc, end.v1, end.v2, external_current)
     return row_stds(predicted)
 
 
@@ -392,7 +392,8 @@ def step_exact_predict_stds_plant(ranking, plant, external_current, conv, voltag
     for (params, state), cell in zip(plant_pairs(plant), deltas):
         ends = [step_exact(params, state, external_current - d / spread, duration)[0]
                 if duration > 0.0 else state for d in cell]
-        predicted.append([terminal_voltage(params, end, external_current) for end in ends])
+        predicted.append([terminal_voltage(params, end.soc, end.v1, end.v2, external_current)
+                          for end in ends])
     scores = [std(cycle) for cycle in zip(*predicted)]
     return tuple(scores[c] for c in CYCLE_OF)
 

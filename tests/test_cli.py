@@ -944,6 +944,14 @@ class TestExportPlotsCommand:
         r = cli("export-plots", cwd=tmp_path)
         assert r.returncode == 2
 
+    @pytest.mark.parametrize("option", [["--config", "missing.json"], ["--set", "bogus.key=1"]])
+    def test_config_options_are_not_export_options(self, capsys, option):
+        # export-plots reads no config, so it refuses the options instead of ignoring them
+        with pytest.raises(SystemExit) as exc:
+            main(["export-plots", "--trace", "t.csv", *option])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
+
 
 # Runs every command in one interpreter where importing numpy raises ImportError, then
 # prints the exit codes and whether numpy or any of its submodules got loaded.

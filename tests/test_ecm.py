@@ -158,17 +158,19 @@ class TestTerminalVoltage:
     def test_rest_equals_ocv(self):
         p = CellParams()
         s = CellState(soc=0.6)
-        assert terminal_voltage(p, s, 0.0) == ocv(p, 0.6)
+        assert terminal_voltage(p, s.soc, s.v1, s.v2, 0.0) == ocv(p, 0.6)
 
     def test_ohmic_drop(self):
         p = CellParams()
         s = CellState(soc=0.6)
-        assert terminal_voltage(p, s, 1.0) == pytest.approx(ocv(p, 0.6) - 0.07, rel=1e-15)
+        got = terminal_voltage(p, s.soc, s.v1, s.v2, 1.0)
+        assert got == pytest.approx(ocv(p, 0.6) - 0.07, rel=1e-15)
 
     def test_superposition_of_drops(self):
         p = CellParams(series_resistance=0.05)
         s = CellState(soc=0.6, v1=0.01, v2=0.02)
-        assert terminal_voltage(p, s, 2.0) == pytest.approx(ocv(p, 0.6) - 0.13, rel=1e-14)
+        got = terminal_voltage(p, s.soc, s.v1, s.v2, 2.0)
+        assert got == pytest.approx(ocv(p, 0.6) - 0.13, rel=1e-14)
 
 
 class TestStepExact:

@@ -9,13 +9,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cellbal import ConverterParams, SwitchPlan, compute_t_on, cycle_charge_deltas, rank_cells
+from cellbal import ConverterParams, SwitchPlan, cycle_charge_deltas, rank_cells
 from cellbal.flyback import (
     CYCLE_OF,
     DISTINCT,
     SCHEDULES,
     CycleTiming,
     PiecewiseLinear,
+    _cycle_constants,
     simulate_cycle,
 )
 from conftest import CONVERTERS
@@ -114,15 +115,17 @@ class TestPiecewiseLinear:
 
 class TestPointwiseHelpers:
     def test_t_on_hand_value(self):
-        assert compute_t_on(SMALL, 4.0) == pytest.approx(5e-5, rel=1e-15)
+        half, _, _ = _cycle_constants(SMALL, [4.0] * 4, (0, 1, 2))
+        assert 2 * half == pytest.approx(5e-5, rel=1e-15)
 
     def test_t_on_zero_peak(self):
         conv = ConverterParams(magnetizing_inductance=1e-4, peak_current=0.0)
-        assert compute_t_on(conv, 3.7) == 0.0
+        half, _, _ = _cycle_constants(conv, [3.7] * 4, (0, 1, 2))
+        assert 2 * half == 0.0
 
     def test_t_on_rejects_zero_voltage(self):
         with pytest.raises(ValueError, match="positive"):
-            compute_t_on(SMALL, 0.0)
+            _cycle_constants(SMALL, [0.0, 4.0, 4.0, 4.0], (0, 1, 2))
 
 
 class TestSimulateCycle:

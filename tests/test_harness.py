@@ -34,6 +34,7 @@ from cellbal import (
 )
 from cellbal.cli import read_trace, write_trace
 from cellbal.controller import POLICIES
+from cellbal.flyback import distinct_cycles
 from cellbal.harness import INACTIVE_BITS
 from conftest import leaky_cells, make_stock_scenario
 
@@ -219,6 +220,43 @@ class TestScenarioConfig:
         # a run that never steps never runs a cycle, whatever its length
         if inductance < 1e308:
             make_stock_scenario(converter=conv, max_time=0.0)
+
+    @pytest.mark.parametrize("peak", [5.0, 0.0])
+    def test_converter_whose_windings_never_shed_is_refused(self, peak):
+        # 1 / 1e307 turns * 12 V / 1e20 H underflows to a zero freewheel slope: the cycle
+        # never ends, even an idle one (zero peak) that would move no charge
+        conv = ConverterParams(magnetizing_inductance=1e20, turns_secondary=10**307,
+                               peak_current=peak)
+        with pytest.raises(ValueError, match="underflows to 0"):
+            make_stock_scenario(converter=conv, max_time=10.0)
+
+    def test_refusal_boundaries_follow_the_winding_closed_form(self):
+        # the nominal cycle is distinct_cycles' cycle 0 on a uniform stack at the lowest
+        # v_min: a run fits exactly its length, and a cell must hold more than its drain
+        rng = random.Random(25)
+        for _ in range(20):
+            n = rng.randint(4, 8)
+            conv = ConverterParams(
+                magnetizing_inductance=10 ** rng.uniform(-3.0, 1.0),
+                turns_primary=rng.randint(1, 9),
+                turns_secondary=rng.randint(1, 9),
+                peak_current=rng.uniform(0.5, 10.0),
+            )
+            _, drains, length = distinct_cycles(conv, [CellParams().v_min] * n, (0, 1, 2))
+            drain = drains[0][0]
+            stack = [(CellParams(), CellState())] * n
+
+            def build(cells=stack, max_time=length):
+                return ScenarioConfig(cells=cells, converter=conv, max_time=max_time)
+
+            build()
+            with pytest.raises(ValueError, match="exceeds max_time"):
+                build(max_time=math.nextafter(length, 0.0))
+            small = stack[1:] + [(CellParams(capacity_coulombs=drain), CellState())]
+            with pytest.raises(ValueError, match=f"cell {n - 1} capacity_coulombs"):
+                build(cells=small)
+            capacity = math.nextafter(drain, math.inf)
+            build(cells=stack[1:] + [(CellParams(capacity_coulombs=capacity), CellState())])
 
     def test_nominal_cycle_bound(self):
         # stock cells (v_min 3 V), 1:4 turns: L * 5 A / 3 V * (1 + 4/4) = 400 s
