@@ -6,7 +6,6 @@ from .ecm import (
     CellParams,
     CellState,
     ocv,
-    ocv_curve,
     step_exact,
     terminal_voltage,
 )

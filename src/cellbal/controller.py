@@ -5,11 +5,14 @@ cells, maps each of the 16 possible auxiliary switch schedules onto the top
 three, predicts every cell's voltage at the end of the resulting cycle, and
 picks the schedule whose predicted voltages have the smallest population
 standard deviation.  The 16 schedules run only 9 distinct cycles
-(``flyback.DISTINCT``), so each scorer predicts those 9 in plain floats and
-gives every schedule its cycle's score.  Predictions come either from the
-per-cell identified linear models, each folded by ``rls.fold`` into an affine
-function of the cell's cycle current, or, for verification against ground
-truth, from the true cell models themselves.
+(``flyback.DISTINCT``): :func:`select_plan` computes their table once per
+decision with ``flyback.distinct_cycles``, each scorer predicts those 9 in
+plain floats and gives every schedule its cycle's score, and the decision
+carries the chosen cycle's row, so a noiseless run applies the cycle that was
+scored.  Predictions come either from the per-cell identified linear models,
+each folded by ``rls.fold`` into an affine function of the cell's cycle
+current, or, for verification against ground truth, from the true cell models
+themselves.
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ from typing import Optional, Sequence
 
 from . import rls
 from .ecm import CellParams, hold_factors, hold_step, terminal_voltage
-from .flyback import CYCLE_OF, ConverterParams, SwitchPlan, distinct_cycles
+from .flyback import (CYCLE_OF, ConverterParams, CycleDeltas, DistinctCycles, SwitchPlan,
+                      distinct_cycles)
 
 # The 9 distinct cycles' scores as the 16 schedules' scores, in schedule order.
 _BY_SCHEDULE = itemgetter(*CYCLE_OF)
@@ -50,18 +54,23 @@ class ControllerConfig:
 
 @dataclass(frozen=True)
 class Decision:
-    """Outcome of one control step; balancing is active when ``plan`` is set."""
+    """Outcome of one control step; balancing is active when ``plan`` is set.  ``cycle``
+    is the scored plan's per-cell charge deltas and length, the bits
+    ``flyback.cycle_charge_deltas`` gives on the voltages it was scored on, and None
+    unless ``ampc`` chose the plan."""
 
     plan: Optional[SwitchPlan]
     predicted_std: tuple[float, ...]   # 16 values in schedule order; empty when inactive
     ranking: tuple[int, ...]
+    cycle: Optional[CycleDeltas] = None
 
 
 def rank_cells(voltages: Sequence[float]) -> tuple[int, ...]:
     """Cell indices by descending voltage, ties broken by ascending index."""
     if len(voltages) < 4:
         raise ValueError(f"need at least 4 cells to rank, got {len(voltages)}")
-    return tuple(sorted(range(len(voltages)), key=lambda j: (-voltages[j], j)))
+    # a stable sort keeps equal voltages in index order, reversed or not
+    return tuple(sorted(range(len(voltages)), key=voltages.__getitem__, reverse=True))
 
 
 def should_balance(voltages: Sequence[float], cfg: ControllerConfig) -> bool:
@@ -72,12 +81,15 @@ def should_balance(voltages: Sequence[float], cfg: ControllerConfig) -> bool:
 
 
 def std(values: Sequence[float]) -> float:
-    """Population standard deviation (divide by n)."""
+    """Population standard deviation (divide by n), its sums left folds: sum() compensates
+    float sums from Python 3.12 on, which would move the last bits between versions."""
     n = len(values)
     if n == 0:
         raise ValueError("std of an empty sequence")
-    mean = sum(values) / n
-    squares = 0.0
+    total = 0.0
+    for v in values:
+        total += v
+    mean, squares = total / n, 0.0
     for v in values:
         squares += (v - mean) ** 2
     return math.sqrt(squares / n)
@@ -89,27 +101,40 @@ def predict_stds(
     charge_accumulators: Sequence[float],
     capacities: Sequence[float],
     external_current: float,
-    conv: ConverterParams,
+    cycles: DistinctCycles,
     voltages: Sequence[float],
 ) -> tuple[float, ...]:
     """Predicted end-of-cycle voltage spread of every schedule, in schedule order, from
     the stacked estimator's identified models, each folded over the cycle from its charge
-    accumulator and about the measured mean.  A cell's current is the external (charger)
-    one plus its charge delta spread over the cycle (none for a zero-length cycle), so the
-    unswitched cells of a cycle share one current."""
-    cells = ranking[:3]
-    secondary, drains, duration = distinct_cycles(conv, voltages, cells)
+    accumulator and about the measured mean.  ``cycles`` is :func:`distinct_cycles` of the
+    ``voltages`` and the ranked cells.  A cell's current is the external (charger) one plus
+    its charge delta spread over the cycle (none for a zero-length cycle), so the unswitched
+    cells of a cycle share one current.  Each cell's 9 predictions are built first, then
+    each cycle's spread is :func:`std` taken inline."""
+    secondary, drains, duration = cycles
     spread = duration if duration > 0.0 else math.inf
-    models = rls.fold(estimator, duration, charge_accumulators, capacities,
-                      sum(voltages) / len(voltages))
-    switched = [(j, *models[j], cell_drains) for j, cell_drains in zip(cells, drains)]
+    n, total = len(voltages), 0.0
+    for v in voltages:
+        total += v
+    models = rls.fold(estimator, duration, charge_accumulators, capacities, total / n)
+    currents = [external_current - s / spread for s in secondary]
+    switched = dict(zip(ranking[:3], drains))
+    rows = []
+    for j, (a, b) in enumerate(models):
+        if j in switched:
+            rows.append([a * (external_current - (s - d) / spread) + b
+                         for s, d in zip(secondary, switched[j])])
+        else:
+            rows.append([a * i + b for i in currents])
     scores = []
-    for k, s in enumerate(secondary):
-        i = external_current - s / spread
-        predicted = [a * i + b for a, b in models]
-        for j, a, b, cell_drains in switched:
-            predicted[j] = a * (external_current - (s - cell_drains[k]) / spread) + b
-        scores.append(std(predicted))
+    for predicted in zip(*rows):
+        total = 0.0
+        for v in predicted:
+            total += v
+        mean, squares = total / n, 0.0
+        for v in predicted:
+            squares += (v - mean) ** 2
+        scores.append(math.sqrt(squares / n))
     return _BY_SCHEDULE(scores)
 
 
@@ -117,16 +142,16 @@ def predict_stds_plant(
     ranking: Sequence[int],
     plant: Plant,
     external_current: float,
-    conv: ConverterParams,
+    cycles: DistinctCycles,
     voltages: Sequence[float],
 ) -> tuple[float, ...]:
     """Predicted end-of-cycle voltage spread of every schedule, in schedule order, from
     the true cell models, given as the lists (params, soc, v1, v2) of the cells' parameters
     and flat states: each state stepped by the cell's average current, as
-    :func:`predict_stds` forms it, and read at the external current alone, since all
-    converter currents are exactly zero at the end of a cycle.  The cycles share one
-    length, so each cell's hold factors serve all 9."""
-    secondary, drains, duration = distinct_cycles(conv, voltages, ranking[:3])
+    :func:`predict_stds` forms it from the same ``cycles``, and read at the external
+    current alone, since all converter currents are exactly zero at the end of a cycle.
+    The cycles share one length, so each cell's hold factors serve all 9."""
+    secondary, drains, duration = cycles
     deltas = [secondary] * len(voltages)
     for j, cell_drains in zip(ranking[:3], drains):
         deltas[j] = [s - d for s, d in zip(secondary, cell_drains)]
@@ -156,7 +181,9 @@ def select_plan(
     """Evaluate the trigger and, when active, pick the policy's schedule.
 
     Only ``ampc`` scores the candidates, and its ties go to the lowest
-    schedule index, so equal predictions select the all-off schedule 0.
+    schedule index, so equal predictions select the all-off schedule 0.  It computes
+    the converter's 9 distinct cycles once, scores them, and hands the chosen one on
+    as :attr:`Decision.cycle`.
     """
     if policy not in POLICIES:
         raise ValueError(f"policy must be one of {', '.join(POLICIES)}, got {reprlib.repr(policy)}")
@@ -166,18 +193,20 @@ def select_plan(
     if policy == "greedy":
         return Decision(SwitchPlan(*ranking[:3]), (), ranking)
 
-    if cfg.prediction_source == "plant":
-        if plant is None:
-            raise ValueError("prediction_source 'plant' requires the plant models")
-        stds = predict_stds_plant(ranking, plant, external_current, conv, voltages)
-    else:
-        if estimator is None or charge_accumulators is None or capacities is None:
-            raise ValueError(
-                "prediction_source 'rls' requires estimators, accumulators and capacities"
-            )
-        stds = predict_stds(
-            ranking, estimator, charge_accumulators, capacities, external_current, conv, voltages
+    by_plant = cfg.prediction_source == "plant"
+    if by_plant and plant is None:
+        raise ValueError("prediction_source 'plant' requires the plant models")
+    if not by_plant and (estimator is None or charge_accumulators is None or capacities is None):
+        raise ValueError(
+            "prediction_source 'rls' requires estimators, accumulators and capacities"
         )
+    cells = ranking[:3]
+    cycles = distinct_cycles(conv, voltages, cells)
+    if by_plant:
+        stds = predict_stds_plant(ranking, plant, external_current, cycles, voltages)
+    else:
+        stds = predict_stds(ranking, estimator, charge_accumulators, capacities,
+                            external_current, cycles, voltages)
 
     # A strict `<` scan from the all-off schedule: a NaN never wins, and a
     # NaN first score keeps the all-off schedule.
@@ -185,4 +214,10 @@ def select_plan(
     for k, score in enumerate(stds):
         if score < stds[best]:
             best = k
-    return Decision(SwitchPlan(*ranking[:3], best), tuple(stds), ranking)
+    # the scored cycle of the pick: schedule best runs cycle CYCLE_OF[best]
+    secondary, drains, length = cycles
+    c = CYCLE_OF[best]
+    deltas = [secondary[c]] * len(voltages)
+    for j, cell_drains in zip(cells, drains):
+        deltas[j] = secondary[c] - cell_drains[c]
+    return Decision(SwitchPlan(*cells, best), tuple(stds), ranking, (tuple(deltas), length))

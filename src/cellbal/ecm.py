@@ -21,23 +21,15 @@ from typing import Optional, Sequence
 OCV_GRID_POINTS = 1000
 
 
-def ocv_curve(coeffs: Sequence[float], exponent: float, soc: float) -> float:
-    """Raw open-circuit voltage curve a0 + a1*s + a2*s^2 + a3*s^3 + a4*e^(-b*s).
-
-    Pure evaluation, no domain check; CellParams enforces the monotone-rising
-    shape at construction.
-    """
-    a0, a1, a2, a3, a4 = coeffs
-    return a0 + soc * (a1 + soc * (a2 + soc * a3)) + a4 * math.exp(-exponent * soc)
-
-
 @dataclass(frozen=True)
 class CellParams:
     """Electrical parameters of one cell; the defaults are a representative 0.8 Ah
     cell, plausible for a small cylindrical cell but not a fit to any specific part.
 
     Units: coulombs, ohms, farads, volts.  ``ocv_coeffs`` are the five
-    coefficients of :func:`ocv_curve`; ``ocv_exponent`` is its decay rate.
+    coefficients (a0, a1, a2, a3, a4) of the open-circuit voltage curve
+    a0 + a1*s + a2*s^2 + a3*s^3 + a4*e^(-b*s), and ``ocv_exponent`` is its decay
+    rate b.
     ``self_discharge_resistance`` is the optional leak across the reservoir
     (None disables self-discharge entirely).
     """
@@ -94,7 +86,7 @@ class CellParams:
         # dips anywhere is rejected up front rather than failing silently.
         # A NaN step fails `>` too.
         last = OCV_GRID_POINTS - 1
-        grid = [ocv_curve(self.ocv_coeffs, self.ocv_exponent, k / last) for k in range(last + 1)]
+        grid = [terminal_voltage(self, k / last, 0.0, 0.0, 0.0) for k in range(last + 1)]
         for k in range(1, last + 1):
             if not grid[k] > grid[k - 1]:
                 raise ValueError(
@@ -122,12 +114,16 @@ def ocv(params: CellParams, soc: float) -> float:
     """Open-circuit voltage at the given SOC fraction."""
     if not 0.0 <= soc <= 1.0:
         raise ValueError(f"soc must lie in [0, 1], got {soc!r}")
-    return ocv_curve(params.ocv_coeffs, params.ocv_exponent, soc)
+    return terminal_voltage(params, soc, 0.0, 0.0, 0.0)  # x - 0.0 is x
 
 
 def terminal_voltage(params: CellParams, soc: float, v1: float, v2: float, current: float) -> float:
-    """Terminal voltage of a cell at (soc, v1, v2) under the given instantaneous current."""
-    return ocv(params, soc) - v1 - v2 - params.series_resistance * current
+    """Terminal voltage of a cell at (soc, v1, v2) under the given instantaneous current:
+    the open-circuit voltage less both RC branches and the ohmic drop.  The SOC is not
+    range-checked here; :func:`ocv` checks it, and a stepped SOC is clamped to [0, 1]."""
+    a0, a1, a2, a3, a4 = params.ocv_coeffs
+    return (a0 + soc * (a1 + soc * (a2 + soc * a3)) + a4 * math.exp(-params.ocv_exponent * soc)
+            - v1 - v2 - params.series_resistance * current)
 
 
 def hold_factors(params: CellParams, dt: float) -> tuple:

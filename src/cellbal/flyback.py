@@ -51,6 +51,12 @@ DISTINCT = tuple(k for k, w in enumerate(_WINDOWS) if _WINDOWS.index(w) == k)
 CYCLE_OF = tuple(DISTINCT.index(_WINDOWS.index(w)) for w in _WINDOWS)
 _HELPER_WINDOWS = tuple(_WINDOWS[k][1:] for k in DISTINCT)  # the other two cells, per cycle
 
+# distinct_cycles' table: each cycle's secondary charge, the target's, second's and third's
+# drains in each cycle, and the common length.
+DistinctCycles = tuple[list[float], tuple[list[float], ...], float]
+# One cycle as the plant runs it: each cell's net charge delta (C) and the length (s).
+CycleDeltas = tuple[tuple[float, ...], float]
+
 
 @dataclass(frozen=True)
 class ConverterParams:
@@ -326,15 +332,16 @@ def simulate_cycle(
 def _cycle_constants(conv: ConverterParams, cell_voltages: Sequence[float], cells):
     """Half on-time, turns ratio and freewheel slope (A/s) of a cycle targeting ``cells[0]``;
     the on-time L*I/v ramps the target winding to the peak current."""
-    n = len(cell_voltages)
+    n, stack = len(cell_voltages), 0.0
     for v in cell_voltages:
         if not v > 0.0:
             raise ValueError(f"cell voltages must all be positive, got {v!r}")
+        stack += v  # a left fold: sum() compensates float sums from Python 3.12 on
     for idx in cells:
         if idx >= n:
             raise ValueError(f"plan cell {idx} out of range for {n} cells")
     ratio = conv.turns_primary / conv.turns_secondary
-    fw_slope = ratio * sum(cell_voltages) / conv.magnetizing_inductance
+    fw_slope = ratio * stack / conv.magnetizing_inductance
     if not fw_slope > 0.0:  # a winding would never shed its current
         raise ValueError("turns ratio times stack voltage over inductance underflows to 0")
     half = 0.5 * (conv.magnetizing_inductance * conv.peak_current / cell_voltages[cells[0]])
@@ -353,7 +360,7 @@ def _winding(v_cell, window, off_at, half, l_m, fw_slope):
 
 def distinct_cycles(
     conv: ConverterParams, cell_voltages: Sequence[float], cells: Sequence[int]
-) -> tuple[list[float], tuple[list[float], ...], float]:
+) -> DistinctCycles:
     """The cycles of :data:`DISTINCT` in plain floats: each cycle's secondary charge, which
     every cell receives, the target's, second's and third's drains, to subtract from it, in
     each cycle, and the common length.  ``cells`` are ranked by descending voltage, so the
@@ -373,7 +380,7 @@ def distinct_cycles(
 
 def cycle_charge_deltas(
     conv: ConverterParams, cell_voltages: Sequence[float], plan: SwitchPlan
-) -> tuple[tuple[float, ...], float]:
+) -> CycleDeltas:
     """Per-cell charge deltas and duration of the cycle the simulation applies, in plain
     floats: :func:`distinct_cycles`' windings, but it ends with its last winding, as the
     true voltages need not rank the plan's cells."""

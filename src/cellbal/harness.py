@@ -4,17 +4,22 @@ One simulated step is one balancing cycle when the controller is active,
 or one fixed idle interval when it is not.  Each step measures the cell
 voltages (optionally with seeded Gaussian noise), feeds them to the stack's
 ``rls.Identification``, lets the controller decide, applies the chosen
-schedule's row of the converter's charge table at the frozen true voltages,
-then advances the true cell models by the resulting average currents, over
-exactly the time the clock moves, with the exact-hold integrator, and the
-identification's charges by the same currents.  Everything is deterministic
-for a fixed seed.
+schedule's cycle at the frozen true voltages, then advances the true cell
+models by the resulting average currents, over exactly the time the clock
+moves, with the exact-hold integrator, and the identification's charges by
+the same currents.  A noiseless measurement is the true voltages themselves,
+so the cycle the controller scored is the one applied; on noisy readings, and
+for ``greedy``, which scores nothing, the cycle is computed at the true
+voltages.  Everything is deterministic for a fixed seed, down to the bits on
+every Python version: each float sum is a left fold.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 import random
 import reprlib
 from dataclasses import dataclass, field
@@ -23,7 +28,8 @@ from typing import Any, Callable, Iterator, Optional, Sequence
 from . import rls
 from .controller import POLICIES, ControllerConfig, select_plan, std
 from .ecm import CellParams, CellState, hold_factors, hold_step, terminal_voltage
-from .flyback import ConverterParams, SwitchPlan, cycle_charge_deltas, distinct_cycles
+from .flyback import (ConverterParams, CycleDeltas, SwitchPlan, cycle_charge_deltas,
+                      distinct_cycles)
 
 INACTIVE_BITS = "----"
 _TRACE_BITS = {INACTIVE_BITS, *(format(k, "04b") for k in range(16))}
@@ -249,6 +255,12 @@ class Summary:
     converter_coulombs: float            # charge drawn through the converter
 
 
+def _left_sum(values) -> float:
+    """A left fold from 0.0: builtin sum() compensates float sums from Python 3.12 on, which
+    would move the last bits between versions, and before 3.12 gives these bits."""
+    return functools.reduce(operator.add, values, 0.0)
+
+
 def _sorted_gap_std(voltages: Sequence[float]) -> float:
     ordered = sorted(voltages, reverse=True)
     gaps = [a - b for a, b in zip(ordered, ordered[1:])]
@@ -330,7 +342,7 @@ class Simulation:
         # cells with equal parameters share one set of hold factors per step
         self._kinds = list(dict.fromkeys(self.params))
         self._kind = [self._kinds.index(p) for p in self.params]
-        self._r_stack = sum(p.series_resistance for p in self.params)
+        self._r_stack = _left_sum(p.series_resistance for p in self.params)
         self.identification = rls.Identification(
             self.params, cfg.warm_start, cfg.initial_covariance, cfg.forgetting_factor
         )
@@ -357,7 +369,7 @@ class Simulation:
 
     def _charger_current(self, rest: list[float]) -> float:
         state = self.charger_state
-        i = cc_cv_current(self.cfg.charger, sum(rest), self._r_stack, rest, state)
+        i = cc_cv_current(self.cfg.charger, _left_sum(rest), self._r_stack, rest, state)
         if state.phase == "done":  # the latch both charger events need
             tripped = state.guard_tripped
             self._enter("charger_guard", [0] if tripped else [],
@@ -369,6 +381,7 @@ class Simulation:
 
     def _measure(self) -> tuple[list[float], list[float], float]:
         """True and measured voltages at the charger's current, and that current.
+        Without noise the measurement is the true-voltage list itself.
 
         A cell outside its safety band forces the external current to zero
         for this step and is recorded as an event on entry.
@@ -388,23 +401,27 @@ class Simulation:
         if self.cfg.noise_std > 0.0:
             v_meas = [v + self.noise_rng.gauss(0.0, self.cfg.noise_std) for v in v_true]
         else:
-            v_meas = list(v_true)
+            v_meas = v_true
         return v_true, v_meas, i_ext
 
-    def _decide(self, v_meas: Sequence[float], i_ext: float) -> Optional[SwitchPlan]:
+    def _decide(self, v_meas: Sequence[float],
+                i_ext: float) -> tuple[Optional[SwitchPlan], Optional[CycleDeltas]]:
+        """The controller's plan and the cycle it scored for the plan (see
+        :attr:`controller.Decision.cycle`), or (None, None) on a faulty reading."""
         cfg = self.cfg
         # a sensor fault, not a cell state: nothing is scored or run on it, and it is
         # recorded on entry (a policy that never balances has nothing to refuse)
         faulty = [] if cfg.policy == "none" else [j for j, v in enumerate(v_meas) if not v > 0.0]
         self._enter("measurement_fault", faulty, lambda j: f"cell {j} read {v_meas[j]:.4f} V")
         if faulty:
-            return None
+            return None, None
         ident = self.identification
         plant = ((self.params, self.soc, self.v1, self.v2)
                  if cfg.controller.prediction_source == "plant" else None)
-        return select_plan(v_meas, ident.estimator, ident.charges, i_ext, cfg.converter,
-                           cfg.controller, capacities=ident.capacities, plant=plant,
-                           policy=cfg.policy).plan
+        decision = select_plan(v_meas, ident.estimator, ident.charges, i_ext, cfg.converter,
+                               cfg.controller, capacities=ident.capacities, plant=plant,
+                               policy=cfg.policy)
+        return decision.plan, decision.cycle
 
     def _snapshot(self, v_meas, currents, bits, i_ext) -> TraceRecord:
         return TraceRecord(
@@ -443,7 +460,7 @@ class Simulation:
         v_true, v_meas, i_ext = self._measure()
         self.identification.measure(v_meas, i_ext)
 
-        plan = self._decide(v_meas, i_ext)
+        plan, cycle = self._decide(v_meas, i_ext)
         if plan is None and self.charger_state.phase == "done":
             self._finish()
             return None
@@ -451,7 +468,10 @@ class Simulation:
         # dt is the amount the clock moves, so time[k+1] - time[k] == dt exactly
         end = self.time
         if plan is not None:
-            deltas, t3 = cycle_charge_deltas(cfg.converter, v_true, plan)
+            # the scored cycle is the true one only when it was scored on the true voltages
+            if cycle is None or v_meas is not v_true:
+                cycle = cycle_charge_deltas(cfg.converter, v_true, plan)
+            deltas, t3 = cycle
             end = self.time + t3
         dt = end - self.time
         if dt > 0.0:

@@ -7,6 +7,8 @@ tautology.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from cellbal import CellParams, CellState, ConverterParams, SwitchPlan, std
@@ -25,6 +27,14 @@ from cellbal.flyback import (
 # np.trapezoid is new in numpy 2.0, which deprecates np.trapz; pyproject.toml
 # allows numpy 1.24, so fall back to trapz there.
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
+
+
+def ocv_curve(coeffs, exponent: float, soc: float) -> float:
+    """The raw open-circuit voltage curve a0 + a1*s + a2*s^2 + a3*s^3 + a4*e^(-b*s) of any
+    coefficients, monotone or not, with no SOC range check: ``ecm.ocv`` must give its bits."""
+    a0, a1, a2, a3, a4 = coeffs
+    return a0 + soc * (a1 + soc * (a2 + soc * a3)) + a4 * math.exp(-exponent * soc)
+
 
 def _stage_grid(duration: float, step: float) -> np.ndarray:
     if duration <= 0.0:

@@ -24,7 +24,7 @@ from cellbal import (
 import cellbal.harness as harness
 from cellbal.flyback import SCHEDULES, simulate_cycle
 from cellbal.cli import read_trace, replay_identification, write_trace
-from conftest import make_stock_scenario, run_cli
+from conftest import make_stock_scenario, run_cli, run_python
 from oracles import (
     euler_step,
     fine_cycle_deltas,
@@ -397,3 +397,11 @@ class TestDeterminism:
         second = (tmp_path / "b" / "trace.csv").read_bytes()
         assert len(first) > 10_000
         assert first == second
+
+    def test_short_runs_write_the_committed_bytes(self, tmp_path):
+        # tests/run_hashes.json holds the sha256 of a stock ampc run, a noisy ampc run (its
+        # applied cycle is recomputed at the true voltages) and a noisy greedy run; CI's
+        # console job checks the same hashes on the oldest and newest supported Python
+        script = Path(__file__).resolve().parent.parent / ".github" / "check_hashes.py"
+        r = run_python(str(script), cwd=tmp_path)
+        assert r.returncode == 0, r.stdout + r.stderr

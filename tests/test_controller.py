@@ -7,7 +7,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import brentq
 
 import cellbal.controller as controller
@@ -17,6 +17,7 @@ from cellbal import (
     CellState,
     ControllerConfig,
     ConverterParams,
+    cycle_charge_deltas,
     ocv,
     predict_stds,
     predict_stds_plant,
@@ -26,7 +27,7 @@ from cellbal import (
     should_balance,
     std,
 )
-from cellbal.flyback import SCHEDULES, SwitchPlan
+from cellbal.flyback import SCHEDULES, SwitchPlan, distinct_cycles
 from conftest import leaky_cells, make_stock_scenario, scoring_states
 from oracles import (
     first_min,
@@ -127,6 +128,14 @@ class TestRankCells:
     def test_ties_break_by_index(self):
         assert rank_cells((4.0, 4.0, 3.9, 3.9)) == (0, 1, 2, 3)
 
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(st.lists(st.sampled_from([0.0, -0.0, 3.7, 4.1])
+                    | st.floats(allow_nan=False, allow_infinity=False), min_size=4, max_size=12))
+    def test_is_the_negated_voltage_then_index_order(self, voltages):
+        # equal voltages, +0.0 and -0.0 among them, keep ascending index
+        assert rank_cells(voltages) == tuple(
+            sorted(range(len(voltages)), key=lambda j: (-voltages[j], j)))
+
     def test_too_few_cells(self):
         with pytest.raises(ValueError, match="at least 4"):
             rank_cells((4.0, 3.9, 3.8))
@@ -226,6 +235,7 @@ class TestPlanFromCandidate:
 class TestPredictions:
     VOLTAGES = (4.0, 3.9, 3.85, 3.8)
     RANKING = (0, 1, 2, 3)
+    CYCLES = distinct_cycles(CONV, VOLTAGES, RANKING[:3])
 
     def test_constant_models_ignore_the_cycle(self):
         # theta = (0, 0, c) predicts c regardless of current, so every
@@ -234,14 +244,14 @@ class TestPredictions:
         ests = constant_estimators(consts)
         expect = std(consts)
         got = predict_stds(
-            self.RANKING, ests, [0.0] * 4, [2880.0] * 4, 0.0, CONV, self.VOLTAGES
+            self.RANKING, ests, [0.0] * 4, [2880.0] * 4, 0.0, self.CYCLES, self.VOLTAGES
         )
         assert list(got) == [expect] * len(SCHEDULES)
 
     def test_equal_constants_predict_zero(self):
         ests = constant_estimators([3.9] * 4)
         got = predict_stds(
-            self.RANKING, ests, [0.0] * 4, [2880.0] * 4, -0.4, CONV, self.VOLTAGES
+            self.RANKING, ests, [0.0] * 4, [2880.0] * 4, -0.4, self.CYCLES, self.VOLTAGES
         )
         assert list(got) == [0.0] * len(SCHEDULES)
 
@@ -261,7 +271,8 @@ class TestPredictions:
         voltages = [v_base + 0.05, v_base, v_base, v_base]
         baseline = std(voltages)
         ranking = rank_cells(voltages)
-        got = predict_stds_plant(ranking, plant, 0.0, CONV, voltages)
+        got = predict_stds_plant(
+            ranking, plant, 0.0, distinct_cycles(CONV, voltages, ranking[:3]), voltages)
         for k, value in enumerate(got):
             assert value <= baseline, k
 
@@ -330,6 +341,38 @@ class TestSelectPlan:
                 assert should_balance(shifted, CFG) == should_balance(tuple(v), CFG)
 
 
+class TestScoredCycle:
+    """``Decision.cycle`` is the chosen plan's cycle as the plant runs it, so a noiseless
+    run applies it without computing the cycle again."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(scoring_states(), st.data())
+    def test_is_the_applied_cycle_bit_for_bit(self, state, data):
+        # equal voltages and the idle converter (peak_current 0) included
+        n = len(state["voltages"])
+        voltages = data.draw(st.lists(st.sampled_from([3.6, 3.6, 4.1]) | st.floats(2.8, 4.4),
+                                      min_size=n, max_size=n))
+        source = data.draw(st.sampled_from(["rls", "plant"]))
+        cfg = ControllerConfig(gap_threshold=1e-6, prediction_source=source)
+        assume(should_balance(voltages, cfg))
+        d = select_plan(voltages, state["estimator"], state["accumulators"], state["i_ext"],
+                        state["conv"], cfg, capacities=state["capacities"], plant=state["plant"])
+        deltas, length = cycle_charge_deltas(state["conv"], voltages, d.plan)
+        assert [v.hex() for v in d.cycle[0]] == [v.hex() for v in deltas]
+        assert d.cycle[1].hex() == length.hex()
+
+    def test_is_none_unless_ampc_chose_the_plan(self):
+        voltages = (4.0, 3.9, 3.85, 3.8)
+        ests = constant_estimators([3.9] * 4)
+        for policy in ("greedy", "none"):
+            d = select_plan(voltages, ests, [0.0] * 4, 0.0, CONV, CFG, capacities=[2880.0] * 4,
+                            policy=policy)
+            assert d.cycle is None
+        d = select_plan((4.0, 4.005, 3.995, 4.0), ests, [0.0] * 4, 0.0, CONV, CFG,
+                        capacities=[2880.0] * 4)
+        assert d.plan is None and d.cycle is None
+
+
 class TestFirstDecisionGolden:
     def capture_first_active(self, monkeypatch, **overrides):
         captured = []
@@ -389,11 +432,12 @@ class TestVectorizedScoring:
         rng = np.random.default_rng(7)
         for voltages, ests, accumulators, capacities, i_ext in self.STATES[:40]:
             ranking = rank_cells(voltages)
+            cycles = distinct_cycles(CONV, voltages, ranking[:3])
             plant = flat_plant(
                 [(p, CellState(soc=float(s))) for s in rng.uniform(0.2, 0.9, size=4)])
             for stds in (
-                predict_stds(ranking, ests, accumulators, capacities, i_ext, CONV, voltages),
-                predict_stds_plant(ranking, plant, i_ext, CONV, voltages),
+                predict_stds(ranking, ests, accumulators, capacities, i_ext, cycles, voltages),
+                predict_stds_plant(ranking, plant, i_ext, cycles, voltages),
             ):
                 for group in WINDOW_SWAP_GROUPS:
                     assert len({float(stds[k]) for k in group}) == 1, group
@@ -442,11 +486,19 @@ class TestDistinctScoring:
             assert len({got[k] for k in group}) == 1, group
         assert reference_pick(got) == numpy_pick(ref)
 
+    @staticmethod
+    def table(ranking, args):
+        """``args`` with the converter replaced by ``distinct_cycles``' table, as the
+        production scorers take it; the oracles take the converter."""
+        *head, conv, voltages = args
+        return (*head, distinct_cycles(conv, voltages, ranking[:3]), voltages)
+
     def check_identified(self, state):
         args = (state["estimator"], state["accumulators"], state["capacities"], state["i_ext"],
                 state["conv"], state["voltages"])
         ranking = rank_cells(state["voltages"])
-        self.check(predict_stds(ranking, *args), numpy_predict_stds(ranking, *args))
+        self.check(predict_stds(ranking, *self.table(ranking, args)),
+                   numpy_predict_stds(ranking, *args))
 
     @settings(derandomize=True, max_examples=300, deadline=None, database=None)
     @given(scoring_states())
@@ -463,7 +515,8 @@ class TestDistinctScoring:
     def test_true_models(self, state):
         args = (state["plant"], state["i_ext"], state["conv"], state["voltages"])
         ranking = rank_cells(state["voltages"])
-        self.check(predict_stds_plant(ranking, *args), numpy_predict_stds_plant(ranking, *args))
+        self.check(predict_stds_plant(ranking, *self.table(ranking, args)),
+                   numpy_predict_stds_plant(ranking, *args))
 
     @settings(derandomize=True, max_examples=150, deadline=None, database=None)
     @given(scoring_states(), st.data())
@@ -472,6 +525,6 @@ class TestDistinctScoring:
         plant = flat_plant(data.draw(leaky_cells(len(state["voltages"]))))
         args = (plant, state["i_ext"], state["conv"], state["voltages"])
         ranking = rank_cells(state["voltages"])
-        got = predict_stds_plant(ranking, *args)
+        got = predict_stds_plant(ranking, *self.table(ranking, args))
         assert [v.hex() for v in got] == [
             v.hex() for v in step_exact_predict_stds_plant(ranking, *args)]

@@ -11,11 +11,10 @@ from cellbal import (
     CellParams,
     CellState,
     ocv,
-    ocv_curve,
     step_exact,
     terminal_voltage,
 )
-from oracles import euler_step
+from oracles import euler_step, ocv_curve
 
 
 class TestOcvCurve:

@@ -32,6 +32,7 @@ from cellbal import (
     step_exact,
     summarize,
 )
+import cellbal.harness as harness
 from cellbal.cli import read_trace, write_trace
 from cellbal.controller import POLICIES
 from cellbal.flyback import distinct_cycles
@@ -518,6 +519,33 @@ class TestRunScenario:
         assert rec.current == tuple(rec.charger_current - d / dt for d in deltas)
         assert sim.time - rec.time == dt
         assert sim.identification.charges == [q + i * dt for q, i in zip(before, rec.current)]
+
+    @pytest.mark.parametrize("policy,noise_std,computed", [
+        ("ampc", 0.0, False), ("ampc", 0.005, True), ("greedy", 0.0, True)])
+    def test_applied_cycle_is_computed_only_where_none_was_scored_on_true_voltages(
+            self, monkeypatch, policy, noise_std, computed):
+        # a noiseless ampc step runs the cycle its decision scored; a noisy one scored it on
+        # the readings, and greedy scores nothing, so each active step computes it anew
+        real_cycle, real_measure = harness.cycle_charge_deltas, Simulation._measure
+        calls, true_voltages = [], []
+        monkeypatch.setattr(harness, "cycle_charge_deltas",
+                            lambda conv, v, plan: calls.append(v) or real_cycle(conv, v, plan))
+
+        def measure(self):
+            measured = real_measure(self)
+            true_voltages.append(measured[0])
+            return measured
+
+        monkeypatch.setattr(Simulation, "_measure", measure)
+        sim = Simulation(make_stock_scenario(policy, noise_std=noise_std, seed=3, max_time=60.0))
+        records = list(iter(sim.step, None))
+        active = [v for rec, v in zip(records, true_voltages) if rec.candidate_bits != INACTIVE_BITS]
+        assert len(active) > 100
+        if computed:
+            assert len(calls) == len(active)
+            assert all(got is v for got, v in zip(calls, active))
+        else:
+            assert calls == []
 
     def test_greedy_ranks_once_per_step(self, monkeypatch):
         calls = []
