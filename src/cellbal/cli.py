@@ -499,17 +499,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     scenarios = {p: build_scenario(eff, policy=p) for p in policies}
     out = _resolve_out(args.out, "sweep")
 
-    jobs = max(1, args.jobs)
-    if jobs == 1 or len(policies) == 1:
-        summaries = {p: _run(s, out / p)[1] for p, s in scenarios.items()}
-    else:
-        import concurrent.futures  # here, as only a parallel sweep needs it
+    import concurrent.futures  # here, as only a sweep needs it
 
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=min(jobs, len(policies))
-        ) as pool:
-            futures = {p: pool.submit(_run, s, out / p) for p, s in scenarios.items()}
-            summaries = {p: fut.result()[1] for p, fut in futures.items()}
+    with concurrent.futures.ProcessPoolExecutor(min(max(1, args.jobs), len(policies))) as pool:
+        futures = {p: pool.submit(_run, s, out / p) for p, s in scenarios.items()}
+        summaries = {p: fut.result()[1] for p, fut in futures.items()}
 
     _write_csv([(out / "comparison.csv", _COMPARISON_COLUMNS, None)], (
         (0, (p, *("" if v is None else float(v) for v in dataclasses.astuple(summaries[p]))))

@@ -12,15 +12,18 @@ carries the chosen cycle's row, so a noiseless run applies the cycle that was
 scored.  Predictions come either from the per-cell identified linear models,
 each folded by ``rls.fold`` into an affine function of the cell's cycle
 current, or, for verification against ground truth, from the true cell models
-themselves.
+themselves.  The statistics of the loop live here once: the trigger's gap rule
+:func:`should_balance`, the population :func:`std` and the left fold
+:func:`left_sum`; the harness's figures of merit and sums use the same three.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import reprlib
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import add, itemgetter
 from typing import Optional, Sequence
 
 from . import rls
@@ -80,9 +83,15 @@ def should_balance(voltages: Sequence[float], cfg: ControllerConfig) -> bool:
     return max(voltages) - min(voltages) > cfg.gap_threshold
 
 
+def left_sum(values) -> float:
+    """A left fold from 0.0: builtin sum() compensates float sums from Python 3.12 on, which
+    would move the last bits between versions, and before 3.12 gives these bits."""
+    return functools.reduce(add, values, 0.0)
+
+
 def std(values: Sequence[float]) -> float:
-    """Population standard deviation (divide by n), its sums left folds: sum() compensates
-    float sums from Python 3.12 on, which would move the last bits between versions."""
+    """Population standard deviation (divide by n), its sums left folds written out as
+    loops, which run faster here than :func:`left_sum`."""
     n = len(values)
     if n == 0:
         raise ValueError("std of an empty sequence")
@@ -110,13 +119,11 @@ def predict_stds(
     ``voltages`` and the ranked cells.  A cell's current is the external (charger) one plus
     its charge delta spread over the cycle (none for a zero-length cycle), so the unswitched
     cells of a cycle share one current.  Each cell's 9 predictions are built first, then
-    each cycle's spread is :func:`std` taken inline."""
+    each cycle's :func:`std`."""
     secondary, drains, duration = cycles
     spread = duration if duration > 0.0 else math.inf
-    n, total = len(voltages), 0.0
-    for v in voltages:
-        total += v
-    models = rls.fold(estimator, duration, charge_accumulators, capacities, total / n)
+    models = rls.fold(estimator, duration, charge_accumulators, capacities,
+                      left_sum(voltages) / len(voltages))
     currents = [external_current - s / spread for s in secondary]
     switched = dict(zip(ranking[:3], drains))
     rows = []
@@ -126,15 +133,7 @@ def predict_stds(
                          for s, d in zip(secondary, switched[j])])
         else:
             rows.append([a * i + b for i in currents])
-    scores = []
-    for predicted in zip(*rows):
-        total = 0.0
-        for v in predicted:
-            total += v
-        mean, squares = total / n, 0.0
-        for v in predicted:
-            squares += (v - mean) ** 2
-        scores.append(math.sqrt(squares / n))
+    scores = [std(predicted) for predicted in zip(*rows)]
     return _BY_SCHEDULE(scores)
 
 

@@ -10,23 +10,22 @@ moves, with the exact-hold integrator, and the identification's charges by
 the same currents.  A noiseless measurement is the true voltages themselves,
 so the cycle the controller scored is the one applied; on noisy readings, and
 for ``greedy``, which scores nothing, the cycle is computed at the true
-voltages.  Everything is deterministic for a fixed seed, down to the bits on
-every Python version: each float sum is a left fold.
+voltages.  The figures of merit read the controller's ``std`` and its trigger.
+Everything is deterministic for a fixed seed, down to the bits on every Python
+version: each float sum is a left fold, such as ``controller.left_sum``.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
-import operator
 import random
 import reprlib
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Optional, Sequence
 
 from . import rls
-from .controller import POLICIES, ControllerConfig, select_plan, std
+from .controller import POLICIES, ControllerConfig, left_sum, select_plan, should_balance, std
 from .ecm import CellParams, CellState, hold_factors, hold_step, terminal_voltage
 from .flyback import (ConverterParams, CycleDeltas, SwitchPlan, cycle_charge_deltas,
                       distinct_cycles)
@@ -255,12 +254,6 @@ class Summary:
     converter_coulombs: float            # charge drawn through the converter
 
 
-def _left_sum(values) -> float:
-    """A left fold from 0.0: builtin sum() compensates float sums from Python 3.12 on, which
-    would move the last bits between versions, and before 3.12 gives these bits."""
-    return functools.reduce(operator.add, values, 0.0)
-
-
 def _sorted_gap_std(voltages: Sequence[float]) -> float:
     ordered = sorted(voltages, reverse=True)
     gaps = [a - b for a, b in zip(ordered, ordered[1:])]
@@ -270,10 +263,11 @@ def _sorted_gap_std(voltages: Sequence[float]) -> float:
 class _Totals:
     """Running figures of merit, folded one record at a time.  Each record's
     std, gap spread and converter draw are weighted by the time to the next
-    record; a lone record stands for itself."""
+    record; a lone record stands for itself.  The gap is closed where the controller's
+    trigger :func:`should_balance` holds off under ``cfg``."""
 
-    def __init__(self, gap_threshold: float):
-        self.gap_threshold = gap_threshold
+    def __init__(self, cfg: ControllerConfig):
+        self.cfg = cfg
         self.rows = 0
         self.first: Optional[TraceRecord] = None
         self.last: Optional[TraceRecord] = None
@@ -295,7 +289,7 @@ class _Totals:
                     self.coulombs += drawn * dt
         self.last = rec
         # the gap closes for good at the first closed record after the last open one
-        if max(rec.voltage) - min(rec.voltage) > self.gap_threshold:
+        if should_balance(rec.voltage, self.cfg):
             self.completion = None
         elif self.completion is None:
             self.completion = rec.time
@@ -324,8 +318,8 @@ class _Totals:
 def summarize(
     trace: Sequence[TraceRecord], gap_threshold: float = ControllerConfig.gap_threshold
 ) -> Summary:
-    """Condense a trace into the run-level figures of merit."""
-    totals = _Totals(gap_threshold)
+    """Condense a trace into the run-level figures of merit under the controller's trigger."""
+    totals = _Totals(ControllerConfig(gap_threshold))
     for rec in trace:
         totals.add(rec)
     return totals.summary()
@@ -342,7 +336,7 @@ class Simulation:
         # cells with equal parameters share one set of hold factors per step
         self._kinds = list(dict.fromkeys(self.params))
         self._kind = [self._kinds.index(p) for p in self.params]
-        self._r_stack = _left_sum(p.series_resistance for p in self.params)
+        self._r_stack = left_sum(p.series_resistance for p in self.params)
         self.identification = rls.Identification(
             self.params, cfg.warm_start, cfg.initial_covariance, cfg.forgetting_factor
         )
@@ -351,7 +345,7 @@ class Simulation:
         self.noise_rng = random.Random(cfg.seed)
         self.time = 0.0
         self.cycle = 0
-        self.totals = _Totals(cfg.controller.gap_threshold)  # sees every step
+        self.totals = _Totals(cfg.controller)  # sees every step
         self.final: Optional[TraceRecord] = None  # the state the run ended in
         self.events: list[tuple[float, str, str]] = []
         self._held: dict[str, set] = {}  # event kind -> the keys it held at its last check
@@ -369,7 +363,7 @@ class Simulation:
 
     def _charger_current(self, rest: list[float]) -> float:
         state = self.charger_state
-        i = cc_cv_current(self.cfg.charger, _left_sum(rest), self._r_stack, rest, state)
+        i = cc_cv_current(self.cfg.charger, left_sum(rest), self._r_stack, rest, state)
         if state.phase == "done":  # the latch both charger events need
             tripped = state.guard_tripped
             self._enter("charger_guard", [0] if tripped else [],

@@ -4,6 +4,7 @@ and a frozen regression vector for the first closed-loop decision."""
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -172,6 +173,25 @@ class TestStd:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             std(())
+
+
+class TestLeftSum:
+    """``left_sum`` is the plain left fold from 0.0, the bits builtin sum() gave before
+    Python 3.12 compensated it, on every version."""
+
+    def test_cancellation_is_not_compensated(self):
+        values = [1e16, 1.0, -1e16]
+        assert controller.left_sum(values) == 0.0
+        assert math.fsum(values) == 1.0
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(st.lists(st.floats(allow_nan=False, width=64), max_size=40))
+    def test_is_the_for_loop_bit_for_bit(self, values):
+        total = 0.0
+        for v in values:
+            total += v
+        assert controller.left_sum(values).hex() == total.hex()
+        assert controller.left_sum(iter(values)).hex() == total.hex()
 
 
 class TestScoreReductions:

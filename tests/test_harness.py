@@ -28,6 +28,7 @@ from cellbal import (
     rls,
     run_scenario,
     select_plan,
+    should_balance,
     std,
     step_exact,
     summarize,
@@ -674,6 +675,40 @@ class TestSummarize:
             make_record(15.0, (4.0, 3.99, 3.995, 3.992)),
         ]
         assert summarize(rows).completion_time == 5.0
+
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(st.lists(st.floats(3.0, 4.2), min_size=4, max_size=8, unique=True))
+    def test_gap_equal_to_the_threshold_is_closed(self, voltages):
+        """The trigger and completion_time read one rule: a gap that equals the threshold
+        exactly is closed for both, and one just above it is open for both."""
+        gap = max(voltages) - min(voltages)
+        zeros = (0.0,) * len(voltages)
+        rows = [make_record(t, voltages, current=zeros) for t in (0.0, 1.0)]
+        assert not should_balance(voltages, ControllerConfig(gap))
+        assert summarize(rows, gap).completion_time == 0.0
+        below = math.nextafter(gap, 0.0)
+        assert should_balance(voltages, ControllerConfig(below))
+        assert summarize(rows, below).completion_time is None
+
+    @pytest.mark.parametrize("threshold", [0.0, -0.02, math.inf, math.nan])
+    def test_threshold_is_refused_as_the_controller_refuses_it(self, threshold):
+        rows = [make_record(0.0, (4.0, 3.99, 3.995, 3.992))]
+        with pytest.raises(ValueError, match="gap_threshold"):
+            ControllerConfig(threshold)
+        with pytest.raises(ValueError, match="gap_threshold"):
+            summarize(rows, threshold)
+
+    @pytest.mark.parametrize("policy", ["ampc", "greedy"])
+    def test_run_completes_after_its_last_balancing_step(self, policy):
+        """In a noiseless run a record's gap is open exactly when its step balanced, so the
+        gap closes for good at the first record after the last balancing one."""
+        socs = (0.52, 0.50, 0.49, 0.48)
+        cfg = ScenarioConfig(cells=[(CellParams(), CellState(s)) for s in socs],
+                             policy=policy, max_time=600.0)
+        trace, summary = run_scenario(cfg)
+        last = max(k for k, rec in enumerate(trace) if rec.candidate_bits != INACTIVE_BITS)
+        assert last + 1 < len(trace)
+        assert summary.completion_time == trace[last + 1].time
 
     def test_time_weighted_average_std(self):
         rows = [
