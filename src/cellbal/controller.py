@@ -6,12 +6,13 @@ three, predicts every cell's voltage at the end of the resulting cycle, and
 picks the schedule whose predicted voltages have the smallest population
 standard deviation.  The 16 schedules run only 9 distinct cycles
 (``flyback.DISTINCT``): :func:`select_plan` computes their table once per
-decision with ``flyback.distinct_cycles``, each scorer predicts those 9 in
-plain floats and gives every schedule its cycle's score, and the decision
-carries the chosen cycle's row, so a noiseless run applies the cycle that was
-scored.  Predictions come either from the per-cell identified linear models,
-each folded by ``rls.fold`` into an affine function of the cell's cycle
-current, or, for verification against ground truth, from the true cell models
+decision with ``flyback.distinct_cycles``, which gives each cell's net charge
+in each cycle, each scorer predicts those 9 in plain floats from its rows and
+gives every schedule its cycle's score, and the decision carries the chosen
+cycle's column, so a noiseless run applies the cycle that was scored.
+Predictions come either from the per-cell identified linear models, each
+folded by ``rls.fold`` into an affine function of the cell's cycle current,
+or, for verification against ground truth, from the true cell models
 themselves.  The statistics of the loop live here once: the trigger's gap rule
 :func:`should_balance`, the population :func:`std` and the left fold
 :func:`left_sum`; the harness's figures of merit and sums use the same three.
@@ -105,7 +106,6 @@ def std(values: Sequence[float]) -> float:
 
 
 def predict_stds(
-    ranking: Sequence[int],
     estimator: rls.RlsEstimator,
     charge_accumulators: Sequence[float],
     capacities: Sequence[float],
@@ -117,43 +117,31 @@ def predict_stds(
     the stacked estimator's identified models, each folded over the cycle from its charge
     accumulator and about the measured mean.  ``cycles`` is :func:`distinct_cycles` of the
     ``voltages`` and the ranked cells.  A cell's current is the external (charger) one plus
-    its charge delta spread over the cycle (none for a zero-length cycle), so the unswitched
-    cells of a cycle share one current.  Each cell's 9 predictions are built first, then
-    each cycle's :func:`std`."""
-    secondary, drains, duration = cycles
+    its charge delta spread over the cycle (none for a zero-length cycle), one current row
+    per row of the table, so the unswitched cells, which share their row, share one.  Each
+    cell's 9 predictions are built first, then each cycle's :func:`std`."""
+    deltas, _, duration = cycles
     spread = duration if duration > 0.0 else math.inf
     models = rls.fold(estimator, duration, charge_accumulators, capacities,
                       left_sum(voltages) / len(voltages))
-    currents = [external_current - s / spread for s in secondary]
-    switched = dict(zip(ranking[:3], drains))
-    rows = []
-    for j, (a, b) in enumerate(models):
-        if j in switched:
-            rows.append([a * (external_current - (s - d) / spread) + b
-                         for s, d in zip(secondary, switched[j])])
-        else:
-            rows.append([a * i + b for i in currents])
+    rows, last = [], None
+    for (a, b), cell in zip(models, deltas):
+        if cell is not last:
+            currents, last = [external_current - d / spread for d in cell], cell
+        rows.append([a * i + b for i in currents])
     scores = [std(predicted) for predicted in zip(*rows)]
     return _BY_SCHEDULE(scores)
 
 
-def predict_stds_plant(
-    ranking: Sequence[int],
-    plant: Plant,
-    external_current: float,
-    cycles: DistinctCycles,
-    voltages: Sequence[float],
-) -> tuple[float, ...]:
+def predict_stds_plant(plant: Plant, external_current: float,
+                       cycles: DistinctCycles) -> tuple[float, ...]:
     """Predicted end-of-cycle voltage spread of every schedule, in schedule order, from
     the true cell models, given as the lists (params, soc, v1, v2) of the cells' parameters
     and flat states: each state stepped by the cell's average current, as
     :func:`predict_stds` forms it from the same ``cycles``, and read at the external
     current alone, since all converter currents are exactly zero at the end of a cycle.
     The cycles share one length, so each cell's hold factors serve all 9."""
-    secondary, drains, duration = cycles
-    deltas = [secondary] * len(voltages)
-    for j, cell_drains in zip(ranking[:3], drains):
-        deltas[j] = [s - d for s, d in zip(secondary, cell_drains)]
+    deltas, _, duration = cycles
     predicted = []
     for params, soc, v1, v2, cell in zip(*plant, deltas):
         factors = hold_factors(params, duration) if duration > 0.0 else None
@@ -202,10 +190,10 @@ def select_plan(
     cells = ranking[:3]
     cycles = distinct_cycles(conv, voltages, cells)
     if by_plant:
-        stds = predict_stds_plant(ranking, plant, external_current, cycles, voltages)
+        stds = predict_stds_plant(plant, external_current, cycles)
     else:
-        stds = predict_stds(ranking, estimator, charge_accumulators, capacities,
-                            external_current, cycles, voltages)
+        stds = predict_stds(estimator, charge_accumulators, capacities, external_current,
+                            cycles, voltages)
 
     # A strict `<` scan from the all-off schedule: a NaN never wins, and a
     # NaN first score keeps the all-off schedule.
@@ -214,9 +202,7 @@ def select_plan(
         if score < stds[best]:
             best = k
     # the scored cycle of the pick: schedule best runs cycle CYCLE_OF[best]
-    secondary, drains, length = cycles
+    deltas, _, length = cycles
     c = CYCLE_OF[best]
-    deltas = [secondary[c]] * len(voltages)
-    for j, cell_drains in zip(cells, drains):
-        deltas[j] = secondary[c] - cell_drains[c]
-    return Decision(SwitchPlan(*cells, best), tuple(stds), ranking, (tuple(deltas), length))
+    return Decision(SwitchPlan(*cells, best), tuple(stds), ranking,
+                    (tuple([cell[c] for cell in deltas]), length))

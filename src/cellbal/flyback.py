@@ -24,7 +24,9 @@ target winding peaks at the configured current limit.
 While a winding conducts, its coulombs are drawn from its own cell.  While it
 freewheels, its current (scaled by the turns ratio) flows through the
 secondary and charges every cell of the stack equally.  Cells whose switches
-never close only ever receive that secondary charge.
+never close only ever receive that secondary charge; a switched cell's net
+charge is that less its drain, a rule written only in :func:`distinct_cycles`
+(the table the controller scores) and :func:`cycle_charge_deltas` (one cycle).
 """
 
 from __future__ import annotations
@@ -51,9 +53,9 @@ DISTINCT = tuple(k for k, w in enumerate(_WINDOWS) if _WINDOWS.index(w) == k)
 CYCLE_OF = tuple(DISTINCT.index(_WINDOWS.index(w)) for w in _WINDOWS)
 _HELPER_WINDOWS = tuple(_WINDOWS[k][1:] for k in DISTINCT)  # the other two cells, per cycle
 
-# distinct_cycles' table: each cycle's secondary charge, the target's, second's and third's
-# drains in each cycle, and the common length.
-DistinctCycles = tuple[list[float], tuple[list[float], ...], float]
+# distinct_cycles' table: each cell's net charge delta in each cycle, the target's drain
+# (the same in every cycle) and the common length.
+DistinctCycles = tuple[list[list[float]], float, float]
 # One cycle as the plant runs it: each cell's net charge delta (C) and the length (s).
 CycleDeltas = tuple[tuple[float, ...], float]
 
@@ -361,21 +363,24 @@ def _winding(v_cell, window, off_at, half, l_m, fw_slope):
 def distinct_cycles(
     conv: ConverterParams, cell_voltages: Sequence[float], cells: Sequence[int]
 ) -> DistinctCycles:
-    """The cycles of :data:`DISTINCT` in plain floats: each cycle's secondary charge, which
-    every cell receives, the target's, second's and third's drains, to subtract from it, in
-    each cycle, and the common length.  ``cells`` are ranked by descending voltage, so the
-    target, on through both windows, ends every cycle.  The target winds once and the
-    others at 0, 1 and 2 half on-times, each through :func:`_winding`."""
+    """The cycles of :data:`DISTINCT` in plain floats: each cell's net charge delta in each
+    cycle, the secondary charge less the cell's drain, with every unswitched cell sharing
+    the one secondary-charge list; the target's drain; and the common length.  ``cells``
+    are ranked by descending voltage, so the target, on through both windows, ends every
+    cycle.  The target winds once and the others at 0, 1 and 2 half on-times, each through
+    :func:`_winding`."""
     l_m = conv.magnetizing_inductance
     half, ratio, fw_slope = _cycle_constants(conv, cell_voltages, cells)
-    fw0, drain0, length = _winding(cell_voltages[cells[0]], 2, 2, half, l_m, fw_slope)
+    fw0, drain, length = _winding(cell_voltages[cells[0]], 2, 2, half, l_m, fw_slope)
     v_second, v_third = cell_voltages[cells[1]], cell_voltages[cells[2]]
     second = [_winding(v_second, w, 2, half, l_m, fw_slope) for w in (0, 1, 2)]
     third = [_winding(v_third, w, 2, half, l_m, fw_slope) for w in (0, 1, 2)]
-    helpers = [(second[w1], third[w2]) for w1, w2 in _HELPER_WINDOWS]
-    secondary = [ratio * (fw0 + fw1 + fw2) for (fw1, _, _), (fw2, _, _) in helpers]
-    drains = ([drain0] * len(helpers), [h[0][1] for h in helpers], [h[1][1] for h in helpers])
-    return secondary, drains, length
+    secondary = [ratio * (fw0 + second[w1][0] + third[w2][0]) for w1, w2 in _HELPER_WINDOWS]
+    deltas = [secondary] * len(cell_voltages)
+    deltas[cells[0]] = [s - drain for s in secondary]
+    deltas[cells[1]] = [s - second[w][1] for s, (w, _) in zip(secondary, _HELPER_WINDOWS)]
+    deltas[cells[2]] = [s - third[w][1] for s, (_, w) in zip(secondary, _HELPER_WINDOWS)]
+    return deltas, drain, length
 
 
 def cycle_charge_deltas(

@@ -170,8 +170,7 @@ class ScenarioConfig:
         # the longest nominal cycle runs with every cell at the lowest allowed voltage
         c, v_floor = self.converter, min(p.v_min for p, _ in self.cells)
         # cycle 0 is schedule 0's, the target alone: its length and the target's drain
-        _, drains, cycle = distinct_cycles(c, [v_floor] * len(self.cells), (0, 1, 2))
-        drained = drains[0][0]
+        _, drained, cycle = distinct_cycles(c, [v_floor] * len(self.cells), (0, 1, 2))
         if not math.isfinite(cycle) or 0.0 < self.max_time < cycle:
             raise ValueError(f"converter cycle {cycle:.3g} s exceeds max_time {self.max_time} s")
         for name, dt in (("converter cycle", cycle), ("idle_dt", self.idle_dt)):

@@ -263,16 +263,12 @@ class TestPredictions:
         consts = (3.95, 3.88, 3.86, 3.83)
         ests = constant_estimators(consts)
         expect = std(consts)
-        got = predict_stds(
-            self.RANKING, ests, [0.0] * 4, [2880.0] * 4, 0.0, self.CYCLES, self.VOLTAGES
-        )
+        got = predict_stds(ests, [0.0] * 4, [2880.0] * 4, 0.0, self.CYCLES, self.VOLTAGES)
         assert list(got) == [expect] * len(SCHEDULES)
 
     def test_equal_constants_predict_zero(self):
         ests = constant_estimators([3.9] * 4)
-        got = predict_stds(
-            self.RANKING, ests, [0.0] * 4, [2880.0] * 4, -0.4, self.CYCLES, self.VOLTAGES
-        )
+        got = predict_stds(ests, [0.0] * 4, [2880.0] * 4, -0.4, self.CYCLES, self.VOLTAGES)
         assert list(got) == [0.0] * len(SCHEDULES)
 
     def test_plant_predictions_never_worsen_single_outlier(self):
@@ -291,8 +287,7 @@ class TestPredictions:
         voltages = [v_base + 0.05, v_base, v_base, v_base]
         baseline = std(voltages)
         ranking = rank_cells(voltages)
-        got = predict_stds_plant(
-            ranking, plant, 0.0, distinct_cycles(CONV, voltages, ranking[:3]), voltages)
+        got = predict_stds_plant(plant, 0.0, distinct_cycles(CONV, voltages, ranking[:3]))
         for k, value in enumerate(got):
             assert value <= baseline, k
 
@@ -456,8 +451,8 @@ class TestVectorizedScoring:
             plant = flat_plant(
                 [(p, CellState(soc=float(s))) for s in rng.uniform(0.2, 0.9, size=4)])
             for stds in (
-                predict_stds(ranking, ests, accumulators, capacities, i_ext, cycles, voltages),
-                predict_stds_plant(ranking, plant, i_ext, cycles, voltages),
+                predict_stds(ests, accumulators, capacities, i_ext, cycles, voltages),
+                predict_stds_plant(plant, i_ext, cycles),
             ):
                 for group in WINDOW_SWAP_GROUPS:
                     assert len({float(stds[k]) for k in group}) == 1, group
@@ -508,17 +503,30 @@ class TestDistinctScoring:
 
     @staticmethod
     def table(ranking, args):
-        """``args`` with the converter replaced by ``distinct_cycles``' table, as the
-        production scorers take it; the oracles take the converter."""
+        """``args`` with the converter and voltages replaced by ``distinct_cycles``' table,
+        as the production scorers take it; the oracles take the converter and voltages."""
         *head, conv, voltages = args
-        return (*head, distinct_cycles(conv, voltages, ranking[:3]), voltages)
+        return (*head, distinct_cycles(conv, voltages, ranking[:3]))
 
     def check_identified(self, state):
         args = (state["estimator"], state["accumulators"], state["capacities"], state["i_ext"],
                 state["conv"], state["voltages"])
         ranking = rank_cells(state["voltages"])
-        self.check(predict_stds(ranking, *self.table(ranking, args)),
+        self.check(predict_stds(*self.table(ranking, args), state["voltages"]),
                    numpy_predict_stds(ranking, *args))
+
+    def check_true(self, state):
+        args = (state["plant"], state["i_ext"], state["conv"], state["voltages"])
+        ranking = rank_cells(state["voltages"])
+        self.check(predict_stds_plant(*self.table(ranking, args)),
+                   numpy_predict_stds_plant(ranking, *args))
+
+    def check_true_bits(self, state, cells):
+        args = (flat_plant(cells), state["i_ext"], state["conv"], state["voltages"])
+        ranking = rank_cells(state["voltages"])
+        got = predict_stds_plant(*self.table(ranking, args))
+        assert [v.hex() for v in got] == [
+            v.hex() for v in step_exact_predict_stds_plant(ranking, *args)]
 
     @settings(derandomize=True, max_examples=300, deadline=None, database=None)
     @given(scoring_states())
@@ -533,18 +541,17 @@ class TestDistinctScoring:
     @settings(derandomize=True, max_examples=100, deadline=None, database=None)
     @given(scoring_states())
     def test_true_models(self, state):
-        args = (state["plant"], state["i_ext"], state["conv"], state["voltages"])
-        ranking = rank_cells(state["voltages"])
-        self.check(predict_stds_plant(ranking, *self.table(ranking, args)),
-                   numpy_predict_stds_plant(ranking, *args))
+        self.check_true(state)
+
+    @settings(derandomize=True, max_examples=40, deadline=None, database=None)
+    @given(scoring_states(st.sampled_from([16, 96]) | st.integers(16, 96)), st.data())
+    def test_true_models_at_stack_scale(self, state, data):
+        # most cells are unswitched and share the table's one secondary-charge row
+        self.check_true(state)
+        self.check_true_bits(state, data.draw(leaky_cells(len(state["voltages"]))))
 
     @settings(derandomize=True, max_examples=150, deadline=None, database=None)
     @given(scoring_states(), st.data())
     def test_true_models_are_the_per_cycle_step_exact_bit_for_bit(self, state, data):
         # self-discharging cells, and cells that a cycle drives into a reservoir limit
-        plant = flat_plant(data.draw(leaky_cells(len(state["voltages"]))))
-        args = (plant, state["i_ext"], state["conv"], state["voltages"])
-        ranking = rank_cells(state["voltages"])
-        got = predict_stds_plant(ranking, *self.table(ranking, args))
-        assert [v.hex() for v in got] == [
-            v.hex() for v in step_exact_predict_stds_plant(ranking, *args)]
+        self.check_true_bits(state, data.draw(leaky_cells(len(state["voltages"]))))

@@ -17,10 +17,11 @@ from cellbal.flyback import (
     CycleTiming,
     PiecewiseLinear,
     _cycle_constants,
+    distinct_cycles,
     simulate_cycle,
 )
 from conftest import CONVERTERS
-from oracles import charge_table, distinct_deltas, fine_cycle_deltas, integrate_pwl_between
+from oracles import charge_table, fine_cycle_deltas, integrate_pwl_between
 
 SMALL = ConverterParams(magnetizing_inductance=1e-4, peak_current=2.0)
 
@@ -354,7 +355,8 @@ class TestCycleInvariants:
 class TestDistinctCycles:
     """The 16 schedules run 9 distinct cycles: on cells ranked by voltage, the
     table rows of each window-swapped group are bit-identical, and
-    ``distinct_cycles``, expanded per cell, is the table's ``DISTINCT`` rows, bit for bit."""
+    ``distinct_cycles``' per-cell rows are the table's ``DISTINCT`` rows, bit for bit, and
+    each of its columns is the applied cycle ``cycle_charge_deltas`` gives that schedule."""
 
     GROUPS = ((1, 4), (2, 8), (3, 6, 9, 12), (7, 13), (11, 14))
 
@@ -373,9 +375,16 @@ class TestDistinctCycles:
         table, t3 = charge_table(conv, voltages, cells)
         for group in self.GROUPS:
             assert len({table[k].tobytes() for k in group}) == 1, group
-        deltas, length = distinct_deltas(conv, voltages, cells)
+        deltas, _, length = distinct_cycles(conv, voltages, cells)
         assert [[d.hex() for d in cell] for cell in deltas] == [
             [float(table[k, j]).hex() for k in DISTINCT] for j in range(len(voltages))
         ]
         # the target ends every schedule's cycle
         assert {float(t).hex() for t in t3} == {length.hex()}
+        # the unswitched cells share one row, so the identified scorer forms one current row
+        assert len({id(row) for j, row in enumerate(deltas) if j not in cells}) == 1
+        # flyback's two per-cell writers agree: column c is the applied cycle DISTINCT[c]
+        for c, k in enumerate(DISTINCT):
+            applied, applied_length = cycle_charge_deltas(conv, voltages, SwitchPlan(*cells, k))
+            assert [d.hex() for d in applied] == [cell[c].hex() for cell in deltas], k
+            assert applied_length.hex() == length.hex(), k

@@ -244,8 +244,7 @@ class TestScenarioConfig:
                 turns_secondary=rng.randint(1, 9),
                 peak_current=rng.uniform(0.5, 10.0),
             )
-            _, drains, length = distinct_cycles(conv, [CellParams().v_min] * n, (0, 1, 2))
-            drain = drains[0][0]
+            _, drain, length = distinct_cycles(conv, [CellParams().v_min] * n, (0, 1, 2))
             stack = [(CellParams(), CellState())] * n
 
             def build(cells=stack, max_time=length):

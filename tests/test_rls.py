@@ -402,6 +402,33 @@ class TestIdleStreams:
         assert all(map(math.isfinite, (t for row in est.theta for t in row)))
 
 
+class TestCovarianceIgnoresTheMeasurement:
+    """The covariance update reads only the regressors (ROADMAP D15): two cells fed the
+    same regressor rows end every ``update`` with bit-identical covariances, whatever
+    their voltages and starting thetas."""
+
+    @settings(derandomize=True, max_examples=100, deadline=None, database=None)
+    @given(
+        lam=st.floats(0.9, 1.0) | st.just(1.0),
+        p0_fraction=st.floats(1e-6, 1.0),
+        theta0=st.lists(st.tuples(*[st.floats(-10.0, 10.0)] * 3), min_size=2, max_size=2),
+        samples=st.lists(
+            st.tuples(st.floats(-10.0, 10.0), st.floats(-2.0, 2.0), st.integers(1, 50),
+                      st.floats(2.5, 4.5), st.floats(2.5, 4.5)),
+            min_size=1, max_size=20,
+        ),
+    )
+    def test_two_cells_with_one_regressor_history_share_their_covariance(
+        self, lam, p0_fraction, theta0, samples
+    ):
+        # each sample's row repeats, so long unexciting runs reach the trace bound
+        est = rls.init(theta0, p0_fraction * rls.max_p0_scale(10.0, lam), lam)
+        for current, ratio, repeats, v_a, v_b in samples:
+            for _ in range(repeats):
+                est = rls.update(est, [(current, ratio, 1.0)] * 2, [v_a, v_b])
+                assert est.covariance[0] == est.covariance[1]
+
+
 class TestStacked:
     def test_stack_matches_single_estimators_bit_for_bit(self):
         # a 4-cell estimator fed a random stream carries, in each row, the
